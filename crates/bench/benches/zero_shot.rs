@@ -4,9 +4,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use chipvqa_bench::run_table2;
+use chipvqa_bench::evaluate_table2;
 use chipvqa_core::ChipVqa;
 use chipvqa_eval::harness::{evaluate, EvalOptions};
+use chipvqa_eval::ParallelExecutor;
 use chipvqa_models::{ModelZoo, VlmPipeline};
 
 fn bench_zero_shot(c: &mut Criterion) {
@@ -26,7 +27,7 @@ fn bench_zero_shot(c: &mut Criterion) {
     });
 
     group.bench_function("table2_all_12_models", |b| {
-        b.iter(|| black_box(run_table2(&bench)))
+        b.iter(|| black_box(evaluate_table2(&ParallelExecutor::new(1), 1, true)))
     });
 
     group.finish();

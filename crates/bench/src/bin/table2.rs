@@ -44,23 +44,39 @@
 //! 3 table printed with a DEGRADED RUN footer · 4 fleet merge refused ·
 //! 5 conflicting mode flags.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use chipvqa_bench::{
-    paper_reference, run_table2, run_table2_fleet_merge, run_table2_fleet_worker,
-    run_table2_scaled, run_table2_scaled_supervised, run_table2_scaled_with_store,
+    evaluate_table2, paper_reference, run_table2_fleet_merge, run_table2_fleet_worker,
 };
-use chipvqa_core::{ChipVqa, DatasetSpec};
+use chipvqa_core::DatasetSpec;
 use chipvqa_eval::fleet::FleetConfig;
 use chipvqa_eval::report::Table2;
+use chipvqa_eval::{
+    AnswerCache, AnswerStore, FaultPlan, ParallelExecutor, StoreConfig, Supervisor,
+};
 use chipvqa_telemetry::{JsonlSink, Telemetry};
 
+/// Exit code for a malformed command line.
+const EXIT_USAGE: i32 = 2;
 /// Exit code for a run that ends with a DEGRADED RUN footer.
 const EXIT_DEGRADED: i32 = 3;
 /// Exit code for a refused fleet merge (mismatched identity, incomplete).
 const EXIT_MERGE_REFUSED: i32 = 4;
 /// Exit code for conflicting mode flags (refused before any work).
 const EXIT_FLAG_CONFLICT: i32 = 5;
+
+const USAGE: &str = "usage: table2 [merge] [--scale N] [--workers W] [--store DIR] \
+                     [--fleet DIR] [--trace FILE] [--report-json FILE] \
+                     [--chaos RATE] [--chaos-seed S] [--batch]";
+
+/// Refuses a malformed command line: what was wrong, the usage line,
+/// exit code 2, nothing evaluated.
+fn usage_error(detail: &str) -> ! {
+    eprintln!("table2: {detail}\n{USAGE}");
+    std::process::exit(EXIT_USAGE);
+}
 
 /// Refuses a run whose flags request contradictory modes: a structured
 /// JSON error on stderr, exit code 5, nothing evaluated.
@@ -82,14 +98,28 @@ fn flag_conflict(detail: &str) -> ! {
     std::process::exit(EXIT_FLAG_CONFLICT);
 }
 
+/// The value following `flag`, parsed and checked by `accept`, or a
+/// usage error naming what the flag takes.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    takes: &str,
+    accept: impl Fn(&T) -> bool,
+) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(accept)
+        .unwrap_or_else(|| usage_error(&format!("{flag} takes {takes}")))
+}
+
 fn main() {
     let mut merge_mode = false;
     let mut scale = 1usize;
     let mut workers = 4usize;
-    let mut store_dir: Option<std::path::PathBuf> = None;
-    let mut fleet_dir: Option<std::path::PathBuf> = None;
-    let mut trace_file: Option<std::path::PathBuf> = None;
-    let mut report_json: Option<std::path::PathBuf> = None;
+    let mut store_dir: Option<PathBuf> = None;
+    let mut fleet_dir: Option<PathBuf> = None;
+    let mut trace_file: Option<PathBuf> = None;
+    let mut report_json: Option<PathBuf> = None;
     let mut chaos_rate: Option<f64> = None;
     let mut chaos_seed: Option<u64> = None;
     let mut batch_mode = false;
@@ -98,66 +128,52 @@ fn main() {
         merge_mode = true;
         args.next();
     }
+    let positive = |n: &usize| *n >= 1;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--scale takes a positive integer");
-            }
+            "--scale" => scale = flag_value(&mut args, "--scale", "a positive integer", positive),
             "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--workers takes a positive integer");
+                workers = flag_value(&mut args, "--workers", "a positive integer", positive);
             }
             "--store" => {
-                store_dir = Some(args.next().expect("--store takes a directory").into());
+                store_dir = Some(flag_value(&mut args, "--store", "a directory", |_| true))
             }
             "--fleet" => {
-                fleet_dir = Some(args.next().expect("--fleet takes a directory").into());
+                fleet_dir = Some(flag_value(&mut args, "--fleet", "a directory", |_| true))
             }
             "--trace" => {
-                trace_file = Some(args.next().expect("--trace takes a file path").into());
+                trace_file = Some(flag_value(&mut args, "--trace", "a file path", |_| true));
             }
             "--report-json" => {
-                report_json = Some(args.next().expect("--report-json takes a file path").into());
+                report_json = Some(flag_value(
+                    &mut args,
+                    "--report-json",
+                    "a file path",
+                    |_| true,
+                ));
             }
             "--chaos" => {
-                chaos_rate = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r: &f64| (0.0..=0.16).contains(r))
-                        .expect("--chaos takes a per-kind fault rate in [0, 0.16]"),
-                );
+                chaos_rate = Some(flag_value(
+                    &mut args,
+                    "--chaos",
+                    "a per-kind fault rate in [0, 0.16]",
+                    |r: &f64| (0.0..=0.16).contains(r),
+                ));
             }
             "--chaos-seed" => {
-                chaos_seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--chaos-seed takes an unsigned integer"),
-                );
+                chaos_seed = Some(flag_value(
+                    &mut args,
+                    "--chaos-seed",
+                    "an unsigned integer",
+                    |_| true,
+                ));
             }
-            "--batch" => {
-                batch_mode = true;
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}` \
-                     (usage: table2 [merge] [--scale N] [--workers W] [--store DIR] \
-                     [--fleet DIR] [--trace FILE] [--report-json FILE] \
-                     [--chaos RATE] [--chaos-seed S] [--batch])"
-                );
-                std::process::exit(2);
-            }
+            "--batch" => batch_mode = true,
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     if merge_mode && fleet_dir.is_none() {
-        eprintln!("table2 merge requires --fleet DIR");
-        std::process::exit(2);
+        usage_error("table2 merge requires --fleet DIR");
     }
     if fleet_dir.is_some() && store_dir.is_some() {
         flag_conflict(
@@ -246,6 +262,20 @@ fn main() {
         return;
     }
 
+    // One executor, built from the flags, runs every single-process mode.
+    let mut exec = ParallelExecutor::new(workers).with_telemetry(telemetry.clone());
+    let cache = store_dir.as_ref().map(|dir| {
+        let store = AnswerStore::open_with_telemetry(dir, StoreConfig::default(), telemetry)
+            .unwrap_or_else(|e| {
+                eprintln!("answer store at {} failed: {e}", dir.display());
+                std::process::exit(1);
+            });
+        Arc::new(AnswerCache::new().with_store(Arc::new(store)))
+    });
+    if let Some(cache) = &cache {
+        exec = exec.with_cache(Arc::clone(cache));
+    }
+    let questions = DatasetSpec::scaled(scale).total();
     if let Some(rate) = chaos_rate {
         let seed = chaos_seed
             .or_else(|| {
@@ -254,74 +284,57 @@ fn main() {
                     .and_then(|v| v.parse().ok())
             })
             .unwrap_or(20_260_806);
-        let spec = DatasetSpec::scaled(scale);
+        chipvqa_eval::fault::install_quiet_panic_hook();
+        exec = exec.with_supervisor(Supervisor::new(FaultPlan::uniform(seed, rate)));
         println!(
-            "chaos run: {} questions per column ({}x), {} workers, \
+            "chaos run: {questions} questions per column ({scale}x), {workers} workers, \
              seed {seed}, per-kind rate {rate}, {}\n",
-            spec.total(),
-            scale,
-            workers,
             if batch_mode {
                 "batch (reference)"
             } else {
                 "streamed"
             },
         );
-        let plan = chipvqa_eval::FaultPlan::uniform(seed, rate);
-        let table = run_table2_scaled_supervised(scale, workers, plan, !batch_mode, telemetry);
-        println!("{table}");
-        write_report_json(report_json, &table);
-        write_trace(trace_file, sink);
-        if table.is_degraded() {
-            std::process::exit(EXIT_DEGRADED);
-        }
-        return;
-    }
-
-    if scale > 1 {
-        let spec = DatasetSpec::scaled(scale);
+    } else if scale > 1 {
         println!(
-            "scaled run: {} questions per column ({}x), {} workers, streamed\n",
-            spec.total(),
-            scale,
-            workers
+            "scaled run: {questions} questions per column ({scale}x), {workers} workers, \
+             streamed\n"
         );
-        let table = match &store_dir {
-            Some(dir) => {
-                let started = std::time::Instant::now();
-                let (table, stats) =
-                    run_table2_scaled_with_store(scale, workers, dir, telemetry.clone())
-                        .unwrap_or_else(|e| {
-                            eprintln!("answer store at {} failed: {e}", dir.display());
-                            std::process::exit(1);
-                        });
-                println!(
-                    "store: {} · wall {:.3}s · warm hit-rate {:.3} ({} disk hits / {} lookups) \
-                     · lifetime {} hits / {} misses",
-                    dir.display(),
-                    started.elapsed().as_secs_f64(),
-                    stats.warm_hit_rate(),
-                    stats.store_hits,
-                    stats.hits + stats.misses,
-                    stats.lifetime_hits,
-                    stats.lifetime_misses,
-                );
-                table
-            }
-            None => run_table2_scaled(scale, workers),
-        };
-        println!("{table}");
-        write_report_json(report_json, &table);
-        write_trace(trace_file, sink);
-        if table.is_degraded() {
-            std::process::exit(EXIT_DEGRADED);
-        }
-        return;
     }
 
-    let bench = ChipVqa::standard();
-    let table = run_table2(&bench);
+    let started = std::time::Instant::now();
+    let table = evaluate_table2(&exec, scale, batch_mode);
+    if let (Some(cache), Some(dir)) = (&cache, &store_dir) {
+        if let Err(e) = cache.flush_store() {
+            eprintln!("answer store at {} failed: {e}", dir.display());
+            std::process::exit(1);
+        }
+        let stats = cache.stats();
+        println!(
+            "store: {} · wall {:.3}s · warm hit-rate {:.3} ({} disk hits / {} lookups) \
+             · lifetime {} hits / {} misses",
+            dir.display(),
+            started.elapsed().as_secs_f64(),
+            stats.warm_hit_rate(),
+            stats.store_hits,
+            stats.hits + stats.misses,
+            stats.lifetime_hits,
+            stats.lifetime_misses,
+        );
+    }
     println!("{table}");
+    if scale == 1 && chaos_rate.is_none() {
+        print_paper_comparison(&table);
+    }
+    write_report_json(report_json, &table);
+    write_trace(trace_file, sink);
+    if table.is_degraded() {
+        std::process::exit(EXIT_DEGRADED);
+    }
+}
+
+/// The scale-1 table against the paper's reference numbers.
+fn print_paper_comparison(table: &Table2) {
     println!("paper reference (all-column):");
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>10}",
@@ -344,17 +357,12 @@ fn main() {
         "\nGPT-4o lead over open-source mean: {:.2} (paper: ~0.20)",
         gpt.standard.overall() - table.open_source_mean("GPT4o")
     );
-    write_report_json(report_json, &table);
-    write_trace(trace_file, sink);
-    if table.is_degraded() {
-        std::process::exit(EXIT_DEGRADED);
-    }
 }
 
 /// Writes the table as JSON with the run-metadata `cache_stats` nulled,
 /// so two runs with identical results (one warm, one cold; one fleet,
 /// one single-process) produce byte-identical files.
-fn write_report_json(path: Option<std::path::PathBuf>, table: &Table2) {
+fn write_report_json(path: Option<PathBuf>, table: &Table2) {
     let Some(path) = path else { return };
     let mut canonical = table.clone();
     for row in &mut canonical.rows {
@@ -370,7 +378,7 @@ fn write_report_json(path: Option<std::path::PathBuf>, table: &Table2) {
 }
 
 /// Writes the captured telemetry trace (if any was requested) to disk.
-fn write_trace(path: Option<std::path::PathBuf>, sink: Option<Arc<JsonlSink>>) {
+fn write_trace(path: Option<PathBuf>, sink: Option<Arc<JsonlSink>>) {
     if let (Some(path), Some(sink)) = (path, sink) {
         if let Err(e) = std::fs::write(&path, sink.to_jsonl()) {
             eprintln!("failed to write trace {}: {e}", path.display());

@@ -11,153 +11,53 @@ use chipvqa_eval::fleet::{self, FleetConfig, FleetError, FleetJob, FleetOutcome}
 use chipvqa_eval::harness::{evaluate, EvalOptions};
 use chipvqa_eval::judge::RuleJudge;
 use chipvqa_eval::report::{ModelRow, Table2};
-use chipvqa_eval::{AnswerCache, AnswerStore, CacheStats, ParallelExecutor};
+use chipvqa_eval::{AnswerCache, AnswerStore, ParallelExecutor};
 use chipvqa_models::{ModelZoo, VlmPipeline};
 use chipvqa_telemetry::Telemetry;
 
-/// Runs the full Table-II evaluation: every zoo model on the standard and
-/// challenge collections.
-pub fn run_table2(bench: &ChipVqa) -> Table2 {
-    let challenge = bench.challenge();
-    let rows = ModelZoo::all()
-        .into_iter()
-        .map(|profile| {
-            let pipe = VlmPipeline::new(profile);
-            ModelRow {
-                standard: evaluate(&pipe, bench, EvalOptions::default()),
-                challenge: evaluate(&pipe, &challenge, EvalOptions::default()),
-            }
-        })
-        .collect();
-    Table2 { rows }
-}
-
-/// Runs the Table-II evaluation on an N×-scaled collection: every zoo
-/// model on [`DatasetSpec::scaled`]`(scale)` (with-choice column) and
-/// the same spec at `mc_sa_ratio` 0 (no-choice column). Questions are
-/// streamed shard-by-shard through the executor — generation overlapped
-/// with inference — so the collection is never materialised whole.
-pub fn run_table2_scaled(scale: usize, workers: usize) -> Table2 {
-    let standard = DatasetSpec::scaled(scale);
-    let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let exec = ParallelExecutor::new(workers);
-    let rows = ModelZoo::all()
-        .into_iter()
-        .map(|profile| {
-            let pipe = VlmPipeline::new(profile);
-            let (std_report, _) =
-                exec.evaluate_spec_stream(&pipe, &standard, BASE_SIZE, EvalOptions::default());
-            let (chal_report, _) =
-                exec.evaluate_spec_stream(&pipe, &challenge, BASE_SIZE, EvalOptions::default());
-            ModelRow {
-                standard: std_report,
-                challenge: chal_report,
-            }
-        })
-        .collect();
-    Table2 { rows }
-}
-
-/// [`run_table2_scaled`] under a [`chipvqa_eval::Supervisor`]:
-/// chaos-supervised
-/// Table-II at scale. With `streamed` true each column is evaluated
-/// through [`ParallelExecutor::evaluate_spec_stream`] (generation
-/// overlapped with inference, windowed breaker driven by the producer);
-/// with `streamed` false both collections are materialized once and
-/// evaluated on the batch supervised path. The two modes produce
-/// byte-identical tables — that contract is what the `stream-chaos` CI
-/// job `cmp`s.
-pub fn run_table2_scaled_supervised(
-    scale: usize,
-    workers: usize,
-    plan: chipvqa_eval::FaultPlan,
-    streamed: bool,
-    telemetry: Telemetry,
-) -> Table2 {
-    chipvqa_eval::fault::install_quiet_panic_hook();
-    let standard = DatasetSpec::scaled(scale);
-    let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let exec = ParallelExecutor::new(workers)
-        .with_supervisor(chipvqa_eval::Supervisor::new(plan))
-        .with_telemetry(telemetry);
-    let rows = if streamed {
-        ModelZoo::all()
-            .into_iter()
-            .map(|profile| {
-                let pipe = VlmPipeline::new(profile);
-                let (std_report, _) =
-                    exec.evaluate_spec_stream(&pipe, &standard, BASE_SIZE, EvalOptions::default());
-                let (chal_report, _) =
-                    exec.evaluate_spec_stream(&pipe, &challenge, BASE_SIZE, EvalOptions::default());
-                ModelRow {
-                    standard: std_report,
-                    challenge: chal_report,
-                }
-            })
-            .collect()
-    } else {
-        let standard_bench = standard.build();
-        let challenge_bench = challenge.build();
-        ModelZoo::all()
-            .into_iter()
-            .map(|profile| {
-                let pipe = VlmPipeline::new(profile);
-                ModelRow {
-                    standard: exec.evaluate(&pipe, &standard_bench, EvalOptions::default()),
-                    challenge: exec.evaluate(&pipe, &challenge_bench, EvalOptions::default()),
-                }
-            })
-            .collect()
-    };
-    Table2 { rows }
-}
-
-/// [`run_table2_scaled`] backed by a persistent [`AnswerStore`] at
-/// `store_dir`: a cache with the store attached is shared across the
-/// whole grid, so a rerun in a fresh process serves every answer from
-/// disk and never touches the inference path (a warm start). Returns
-/// the table plus the shared cache's final stats — `store_hits`,
-/// `warm_hit_rate` and the run-spanning `lifetime_*` counters tell a
-/// driver how warm the run actually was. The store is flushed before
-/// returning.
+/// Runs Table II through `exec` exactly as the caller configured it
+/// (workers, answer cache or store, supervisor, telemetry): every zoo
+/// model on [`DatasetSpec::scaled`]`(scale)` — the with-choice column;
+/// scale 1 is the paper's collection — and on the same spec at
+/// `mc_sa_ratio` 0, the no-choice column.
 ///
-/// Determinism contract: the table (and every `EvalReport` in it, up
-/// to the `cache_stats` run metadata) is byte-identical to a cold
-/// [`run_table2_scaled`] run — the pipeline is deterministic per cache
-/// key, so a disk hit returns exactly what inference would have.
-pub fn run_table2_scaled_with_store(
-    scale: usize,
-    workers: usize,
-    store_dir: &Path,
-    telemetry: Telemetry,
-) -> std::io::Result<(Table2, CacheStats)> {
-    let store = Arc::new(AnswerStore::open_with_telemetry(
-        store_dir,
-        chipvqa_eval::StoreConfig::default(),
-        telemetry.clone(),
-    )?);
-    let cache = Arc::new(AnswerCache::new().with_store(store));
+/// Columns are streamed shard by shard (generation overlapped with
+/// inference, the collection never materialised whole) unless
+/// `materialise`, which builds each column once and evaluates the grid
+/// over the materialised benches. Both produce byte-identical tables —
+/// the contract the `stream-chaos` CI job `cmp`s under a supervisor. A
+/// warm store serves every answer of a streamed rerun from disk.
+pub fn evaluate_table2(exec: &ParallelExecutor, scale: usize, materialise: bool) -> Table2 {
     let standard = DatasetSpec::scaled(scale);
     let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let exec = ParallelExecutor::new(workers)
-        .with_cache(Arc::clone(&cache))
-        .with_telemetry(telemetry);
-    let rows = ModelZoo::all()
+    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let [standard, challenge] = [standard, challenge].map(|spec| {
+        if materialise {
+            exec.evaluate_grid(
+                &pipes,
+                &spec.build(),
+                EvalOptions::default(),
+                &RuleJudge::new(),
+            )
+        } else {
+            pipes
+                .iter()
+                .map(|pipe| {
+                    exec.evaluate_spec_stream(pipe, &spec, BASE_SIZE, EvalOptions::default())
+                        .0
+                })
+                .collect()
+        }
+    });
+    let rows = standard
         .into_iter()
-        .map(|profile| {
-            let pipe = VlmPipeline::new(profile);
-            let (std_report, _) =
-                exec.evaluate_spec_stream(&pipe, &standard, BASE_SIZE, EvalOptions::default());
-            let (chal_report, _) =
-                exec.evaluate_spec_stream(&pipe, &challenge, BASE_SIZE, EvalOptions::default());
-            ModelRow {
-                standard: std_report,
-                challenge: chal_report,
-            }
+        .zip(challenge)
+        .map(|(standard, challenge)| ModelRow {
+            standard,
+            challenge,
         })
         .collect();
-    cache.flush_store()?;
-    Ok((Table2 { rows }, cache.stats()))
+    Table2 { rows }
 }
 
 /// The pieces every fleet participant (worker or merge) derives from

@@ -37,8 +37,7 @@ use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::prompt_hash;
-use crate::executor::internal::{merge_from_pairs, run_selected, shard_keys, ShardKey};
-use crate::executor::ParallelExecutor;
+use crate::executor::{merge, shard_keys, ParallelExecutor, ShardKey};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::Judge;
 use crate::supervisor::EvalError;
@@ -371,44 +370,40 @@ impl ParallelExecutor {
         let budget = max_shards.unwrap_or(pending.len()).min(pending.len());
         let batch = &pending[..budget];
 
-        if !batch.is_empty() {
-            let results = run_selected(self, pipes, bench, options, judge, batch);
-            for (key, outcomes) in batch.iter().zip(results) {
-                // a caught worker panic quarantines the shard: results are
-                // recorded (degraded) but flagged for retry-on-resume
-                if outcomes
-                    .iter()
-                    .any(|o| o.error == Some(EvalError::WorkerPanic))
-                    && !checkpoint.quarantined.contains(key)
-                {
-                    checkpoint.quarantined.push(*key);
-                    let tele = self.telemetry();
-                    if tele.enabled() {
-                        tele.counter("checkpoint.quarantined", 1);
-                        tele.event(
-                            "checkpoint.quarantine",
-                            vec![
-                                kv("model_idx", key.model_idx),
-                                kv("q_start", key.q_start),
-                                kv("q_end", key.q_end),
-                            ],
-                        );
-                    }
+        // a spec-bound checkpoint caches under its spec, so runs over
+        // two specs never read each other's answers
+        let dataset_fp = checkpoint.spec_fingerprint.unwrap_or(0);
+        for (key, outcomes) in self.run_bench(pipes, bench, batch, options, judge, dataset_fp) {
+            // a caught worker panic quarantines the shard: results are
+            // recorded (degraded) but flagged for retry-on-resume
+            if outcomes
+                .iter()
+                .any(|o| o.error == Some(EvalError::WorkerPanic))
+                && !checkpoint.quarantined.contains(&key)
+            {
+                checkpoint.quarantined.push(key);
+                let tele = self.telemetry();
+                if tele.enabled() {
+                    tele.counter("checkpoint.quarantined", 1);
+                    tele.event(
+                        "checkpoint.quarantine",
+                        vec![
+                            kv("model_idx", key.model_idx),
+                            kv("q_start", key.q_start),
+                            kv("q_end", key.q_end),
+                        ],
+                    );
                 }
-                checkpoint.completed.push(ShardResult {
-                    key: *key,
-                    outcomes,
-                });
             }
+            checkpoint.completed.push(ShardResult { key, outcomes });
         }
 
         if checkpoint.completed.len() == plan.len() {
-            let pairs: Vec<(ShardKey, Vec<QuestionOutcome>)> = checkpoint
+            let done = checkpoint
                 .completed
                 .iter()
-                .map(|d| (d.key, d.outcomes.clone()))
-                .collect();
-            Ok(Some(self.finalize(merge_from_pairs(pipes, bench, &pairs))))
+                .map(|d| (d.key, d.outcomes.clone()));
+            Ok(Some(self.finalize(merge(pipes, bench.len(), done))))
         } else {
             Ok(None)
         }

@@ -1,15 +1,31 @@
-//! Work-stealing parallel evaluation.
+//! The shard engine: parallel evaluation through one source → engine →
+//! sink path.
 //!
-//! [`ParallelExecutor`] shards the model×question grid into contiguous
-//! question ranges, distributes the shards over a pool of scoped worker
-//! threads (per-worker deques with stealing, so a slow shard never
-//! serialises the run), and merges outcomes back **in question order**.
+//! Every way of running shards — a materialised bench, a lazily
+//! generated [`DatasetSpec`] stream, a checkpoint's pending set, a fleet
+//! worker's claimed shard, a streamed quarantine requeue — is the same
+//! engine fed by a different **source** of `(ShardKey, questions)`
+//! pairs:
+//!
+//! * the calling thread pulls shards from the source (generating them,
+//!   for a spec stream, so generation overlaps inference) and, under a
+//!   [`Supervisor`], seals each shard's admit vector with one
+//!   [`WindowedBreaker`] per model driven in global question order;
+//! * workers take sealed shards from a bounded channel and run one
+//!   per-question function (optional supervision, `catch_unwind` on
+//!   every path, cache keyed by the source's dataset fingerprint);
+//! * one positional merge turns the shards' outcomes into per-model
+//!   reports for the **sink** — the caller's merged reports, a
+//!   [`Checkpoint`](crate::checkpoint::Checkpoint), or a fleet commit.
+//!
 //! Because the VLM pipeline is deterministic per (model, question,
-//! attempt) and merging is positional, the parallel report is
-//! *identical* — not just statistically equal — to the sequential
-//! [`evaluate`](crate::harness::evaluate) result, for any worker count.
+//! attempt), breaker decisions depend only on question positions, and
+//! merging is positional, every report is *identical* — not just
+//! statistically equal — to the sequential
+//! [`evaluate`](crate::harness::evaluate) result, for any worker count,
+//! shard length and source.
 //!
-//! Two optional layers ride on the same code path:
+//! Optional layers on the same path:
 //!
 //! * an [`AnswerCache`] that memoises model answers across runs (a warm
 //!   cache skips inference entirely and re-judges the stored answers);
@@ -19,25 +35,20 @@
 //!   attempts. The default policy (one attempt, no backoff) reproduces
 //!   single-shot judging bit-for-bit;
 //! * a [`Supervisor`] that hardens the run against infrastructure
-//!   failure: per-call deadlines, bounded retries, a per-model circuit
-//!   breaker, and panic isolation (`catch_unwind` around each question,
-//!   so one poisoned question quarantines its shard instead of aborting
-//!   the run). With the all-zero [`FaultPlan`](crate::fault::FaultPlan)
-//!   the supervised path is byte-identical to the unsupervised one.
-//!   Supervision covers the streaming intake path too: the producer
-//!   drives the supervisor's windowed breaker
-//!   ([`WindowedBreaker`](crate::supervisor::WindowedBreaker)) in
-//!   global question order and ships each shard's admit decisions with
-//!   the shard, so supervised streamed reports are byte-identical to
-//!   supervised batch reports at any worker count and shard length.
+//!   failure: per-call deadlines, bounded retries, a per-model windowed
+//!   circuit breaker, and panic isolation (one poisoned question
+//!   quarantines its shard instead of aborting the run). With the
+//!   all-zero [`FaultPlan`](crate::fault::FaultPlan) the supervised path
+//!   is byte-identical to the unsupervised one.
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use chipvqa_core::question::Question;
-use chipvqa_core::spec::DatasetSpec;
+use chipvqa_core::spec::{DatasetSpec, ShardStream};
 use chipvqa_core::ChipVqa;
 use chipvqa_models::backbone::AnswerPath;
 use chipvqa_models::VlmPipeline;
@@ -47,12 +58,16 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{AnswerCache, CacheKey, CachedAnswer};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::{Judge, RuleJudge};
-use crate::supervisor::{BreakerSchedule, BreakerScope, EvalError, Supervisor};
+use crate::supervisor::{EvalError, Supervisor, WindowedBreaker, BREAKER_WINDOW};
 
-/// How many questions one shard covers. Small enough that 8 workers on
-/// one 142-question model all stay busy, large enough that shard
-/// bookkeeping is negligible against inference.
+/// How many questions one shard of a materialised bench covers. Small
+/// enough that 8 workers on one 142-question model all stay busy, large
+/// enough that shard bookkeeping is negligible against inference.
 pub const SHARD_SIZE: usize = 16;
+
+// A selected shard repositions its model's breaker at the shard's first
+// question, which is exact only when shards start on window boundaries.
+const _: () = assert!(SHARD_SIZE == BREAKER_WINDOW);
 
 /// Judge retry behaviour for one verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,15 +150,43 @@ pub(crate) fn seeded_jitter_ms(seed: u64, question_id: &str, attempt: u64, base:
     }
 }
 
-/// One unit of parallel work: a contiguous question range of one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shard {
-    model_idx: usize,
-    q_start: usize,
-    q_end: usize,
+/// One unit of work: a contiguous question range of one model.
+/// Checkpoints and fleet records name shards by key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ShardKey {
+    /// Model index in the grid.
+    pub model_idx: usize,
+    /// First question index (inclusive).
+    pub q_start: usize,
+    /// Last question index (exclusive).
+    pub q_end: usize,
 }
 
-/// Work-stealing evaluator producing sequential-identical reports.
+/// The canonical shard plan of a grid: model-major, [`SHARD_SIZE`]
+/// questions per shard.
+pub(crate) fn shard_keys(models: usize, questions: usize) -> Vec<ShardKey> {
+    (0..models)
+        .flat_map(|model_idx| {
+            (0..questions)
+                .step_by(SHARD_SIZE)
+                .map(move |q_start| ShardKey {
+                    model_idx,
+                    q_start,
+                    q_end: (q_start + SHARD_SIZE).min(questions),
+                })
+        })
+        .collect()
+}
+
+/// What a source yields: a shard's key and its questions, borrowed from
+/// a materialised bench or owned when generated.
+type SourceShard<'q> = (ShardKey, Cow<'q, [Question]>);
+
+/// What the engine returns for one shard: its key and its outcomes in
+/// question order.
+pub(crate) type ShardOutcomes = (ShardKey, Vec<QuestionOutcome>);
+
+/// Parallel evaluator producing sequential-identical reports.
 ///
 /// Worker threads are scoped per call: every entry point joins its
 /// workers before returning, so a driver that returns from (or stops
@@ -229,8 +272,9 @@ impl ParallelExecutor {
 
     /// A copy of this executor with the supervisor detached (cache,
     /// retry policy and telemetry are kept). The calm twin of a
-    /// supervised executor: used by fleet healing to re-run a
-    /// quarantined shard without fault injection, matching
+    /// supervised executor: used by fleet healing and the streamed
+    /// requeue to re-run a quarantined shard without fault injection,
+    /// matching
     /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
     /// semantics.
     pub fn unsupervised(&self) -> ParallelExecutor {
@@ -258,10 +302,7 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> EvalReport {
-        let pipes = std::slice::from_ref(pipe);
-        let shards = plan_shards(1, bench.len());
-        let results = self.run_shards(pipes, bench, options, judge, &shards);
-        self.finalize(merge_reports(pipes, bench, results))
+        self.evaluate_grid(std::slice::from_ref(pipe), bench, options, judge)
             .pop()
             .expect("one model")
     }
@@ -274,9 +315,108 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> Vec<EvalReport> {
-        let shards = plan_shards(pipes.len(), bench.len());
-        let results = self.run_shards(pipes, bench, options, judge, &shards);
-        self.finalize(merge_reports(pipes, bench, results))
+        let keys = shard_keys(pipes.len(), bench.len());
+        let done = self.run_bench(pipes, bench, &keys, options, judge, 0);
+        self.finalize(merge(pipes, bench.len(), done))
+    }
+
+    /// Streaming evaluation of a [`DatasetSpec`]: shards of `shard_len`
+    /// questions are generated on the calling thread as the workers
+    /// consume them, so generation overlaps inference and the whole
+    /// collection is never materialised. Answer-cache keys are bound to
+    /// the spec's fingerprint. Returns the report plus [`StreamStats`]
+    /// whose `generator_peak_resident` records the [`ShardStream`]'s
+    /// high-water mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard_len` is zero or when the spec is invalid.
+    pub fn evaluate_spec_stream(
+        &self,
+        pipe: &VlmPipeline,
+        spec: &DatasetSpec,
+        shard_len: usize,
+        options: EvalOptions,
+    ) -> (EvalReport, StreamStats) {
+        let pipes = std::slice::from_ref(pipe);
+        let mut source = SpecShards {
+            stream: spec.stream(shard_len),
+            select: None,
+            tele: self.telemetry.clone(),
+        };
+        let (done, mut stats) = self.run(
+            pipes,
+            &mut source,
+            true,
+            options,
+            &RuleJudge::new(),
+            spec.fingerprint(),
+        );
+        stats.generator_peak_resident = Some(source.stream.peak_resident());
+        let report = self.finalize(merge(pipes, stats.questions, done)).pop();
+        (report.expect("one model"), stats)
+    }
+
+    /// Heals a *streamed* supervised report the way
+    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
+    /// heals a checkpointed one: every shard containing a
+    /// [`EvalError::WorkerPanic`] outcome is regenerated from the spec
+    /// (the clean shards before it are generated and skipped, never
+    /// evaluated) and re-run *unsupervised*, and the healed outcomes are
+    /// patched back positionally. Returns the number of shards healed.
+    /// `shard_len` must match the original streamed run, and `report`
+    /// must cover the full spec.
+    pub fn requeue_quarantined_stream(
+        &self,
+        pipe: &VlmPipeline,
+        spec: &DatasetSpec,
+        shard_len: usize,
+        options: EvalOptions,
+        report: &mut EvalReport,
+    ) -> usize {
+        assert!(shard_len > 0, "shard_len must be positive");
+        assert_eq!(
+            report.outcomes.len(),
+            spec.total(),
+            "report must cover the full spec"
+        );
+        let quarantined: BTreeSet<usize> = report
+            .outcomes
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.error == Some(EvalError::WorkerPanic))
+            .map(|(pos, _)| pos / shard_len)
+            .collect();
+        if quarantined.is_empty() {
+            return 0;
+        }
+        let healed = quarantined.len();
+        if self.telemetry.enabled() {
+            self.telemetry
+                .counter("stream.requeue.shards", healed as u64);
+        }
+        let source = SpecShards {
+            stream: spec.stream(shard_len),
+            select: Some(quarantined),
+            tele: self.telemetry.clone(),
+        };
+        let (done, _) = self.unsupervised().run(
+            std::slice::from_ref(pipe),
+            source,
+            true,
+            options,
+            &RuleJudge::new(),
+            spec.fingerprint(),
+        );
+        for (key, outcomes) in done {
+            for (slot, outcome) in report.outcomes[key.q_start..key.q_end]
+                .iter_mut()
+                .zip(outcomes)
+            {
+                *slot = outcome;
+            }
+        }
+        healed
     }
 
     /// Stamps run metadata onto finished reports: the cache's traffic
@@ -299,449 +439,151 @@ impl ParallelExecutor {
         reports
     }
 
-    /// Runs `shards`, returning each shard's outcomes (same order as the
-    /// input slice). This is the engine shared by the plain entry points
-    /// and checkpoint resume.
-    fn run_shards(
+    /// Runs the selected `keys` of a materialised bench, handing the
+    /// engine borrowed question slices. Answers are cached under
+    /// `dataset_fp` (0 for a bench built without a [`DatasetSpec`]).
+    /// Returns each shard's outcomes in `keys` order.
+    pub(crate) fn run_bench(
         &self,
         pipes: &[VlmPipeline],
         bench: &ChipVqa,
+        keys: &[ShardKey],
         options: EvalOptions,
         judge: &dyn Judge,
-        shards: &[Shard],
-    ) -> Vec<Vec<QuestionOutcome>> {
-        let workers = self.workers.min(shards.len()).max(1);
+        dataset_fp: u64,
+    ) -> Vec<ShardOutcomes> {
+        let questions = bench.questions();
+        let source = keys
+            .iter()
+            .map(|&key| (key, Cow::Borrowed(&questions[key.q_start..key.q_end])));
+        self.run(pipes, source, false, options, judge, dataset_fp).0
+    }
+
+    /// The engine. The calling thread pulls shards from `source` —
+    /// `generated` says pulling does real work (a spec stream) that
+    /// should overlap inference — seals each one's admit vector under a
+    /// supervisor, and hands it to the workers through a bounded
+    /// channel. In-flight questions (queued plus held by workers) are
+    /// tracked, and never exceed `(2·workers + 1)` shards. A
+    /// materialised source with one worker has nothing to overlap, so
+    /// the calling thread evaluates its shards itself — which also
+    /// makes a one-worker trace a deterministic artifact.
+    ///
+    /// Returns each shard's outcomes in source order.
+    fn run<'q>(
+        &self,
+        pipes: &[VlmPipeline],
+        mut source: impl Iterator<Item = SourceShard<'q>>,
+        generated: bool,
+        options: EvalOptions,
+        judge: &dyn Judge,
+        dataset_fp: u64,
+    ) -> (Vec<ShardOutcomes>, StreamStats) {
         let tele = &self.telemetry;
+        let threads = self
+            .workers
+            .min(source.size_hint().1.unwrap_or(usize::MAX))
+            .max(1);
+        let inline = !generated && threads == 1;
         let _run_span = if tele.enabled() {
-            tele.counter("executor.shards", shards.len() as u64);
             tele.span_kv(
                 "executor.run",
-                vec![
-                    kv("models", pipes.len()),
-                    kv("workers", workers),
-                    kv("shards", shards.len()),
-                ],
+                vec![kv("models", pipes.len()), kv("workers", threads)],
             )
         } else {
             tele.span("executor.run")
         };
-
-        // Supervised runs obey a precomputed per-model breaker schedule —
-        // the sequential-order breaker trajectory, derived purely from
-        // the fault plan — so shed/attempt decisions cannot depend on
-        // worker count or steal order.
-        let schedules: Option<Vec<BreakerSchedule>> = self.supervisor.as_deref().map(|sup| {
-            pipes
-                .iter()
-                .map(|p| sup.breaker_schedule_traced(p.fingerprint(), bench, tele))
-                .collect()
-        });
-
-        // Per-worker deques, round-robin seeded so early shards spread
-        // across workers; idle workers steal from the back of others.
-        let deques: Vec<Mutex<VecDeque<(usize, Shard)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, &shard) in shards.iter().enumerate() {
-            deques[i % workers]
-                .lock()
-                .expect("deque lock")
-                .push_back((i, shard));
-        }
-
-        let mut slots: Vec<Option<Vec<QuestionOutcome>>> = vec![None; shards.len()];
-        let cache = self.cache.as_deref();
-        let supervisor = self.supervisor.as_deref();
-        let retry = self.retry;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for me in 0..workers {
-                let deques = &deques;
-                let schedules = schedules.as_deref();
-                handles.push(scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<QuestionOutcome>)> = Vec::new();
-                    loop {
-                        let next = take_work(deques, me, tele);
-                        let Some((slot, shard)) = next else { break };
-                        let pipe = &pipes[shard.model_idx];
-                        let _shard_span = if tele.enabled() {
-                            tele.span_kv(
-                                "executor.shard",
-                                vec![
-                                    kv("model", &pipe.profile().name),
-                                    kv("q_start", shard.q_start),
-                                    kv("q_end", shard.q_end),
-                                ],
-                            )
-                        } else {
-                            tele.span("executor.shard")
-                        };
-                        let outcomes = bench.questions()[shard.q_start..shard.q_end]
-                            .iter()
-                            .enumerate()
-                            .map(|(offset, q)| {
-                                let _t = tele.timer("executor.question_ns");
-                                let _q_span = tele.span("executor.question");
-                                match (supervisor, schedules) {
-                                    (Some(sup), Some(schedules)) => eval_question_isolated(
-                                        pipe,
-                                        q,
-                                        options,
-                                        judge,
-                                        &retry,
-                                        cache,
-                                        sup,
-                                        &schedules[shard.model_idx],
-                                        shard.q_start + offset,
-                                        tele,
-                                        0,
-                                    ),
-                                    _ => eval_question(
-                                        pipe, q, options, judge, &retry, cache, tele, 0,
-                                    ),
-                                }
-                            })
-                            .collect();
-                        done.push((slot, outcomes));
-                    }
-                    done
-                }));
-            }
-            for handle in handles {
-                for (slot, outcomes) in handle.join().expect("worker panicked") {
-                    slots[slot] = Some(outcomes);
-                }
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|s| s.expect("every shard completed"))
-            .collect()
-    }
-
-    /// Evaluates one model on a *streamed* question sequence: shards are
-    /// consumed as the iterator produces them, so generation overlaps
-    /// inference and the whole collection is never materialized. The
-    /// report is byte-identical across worker counts (per-question
-    /// evaluation is deterministic and the merge is positional by shard
-    /// index). Judged by the default [`RuleJudge`].
-    ///
-    /// With a [`Supervisor`] attached the producer decides each
-    /// question's fate through the windowed breaker as it generates
-    /// (see the [`supervisor`](crate::supervisor) module docs on
-    /// determinism), so supervised streamed reports are byte-identical
-    /// to supervised batch reports.
-    pub fn evaluate_stream<I>(
-        &self,
-        pipe: &VlmPipeline,
-        shards: I,
-        options: EvalOptions,
-    ) -> (EvalReport, StreamStats)
-    where
-        I: IntoIterator<Item = Vec<Question>>,
-    {
-        self.evaluate_stream_with_judge(pipe, shards, options, &RuleJudge::new())
-    }
-
-    /// [`evaluate_stream`](ParallelExecutor::evaluate_stream) with a
-    /// caller-supplied judge.
-    pub fn evaluate_stream_with_judge<I>(
-        &self,
-        pipe: &VlmPipeline,
-        shards: I,
-        options: EvalOptions,
-        judge: &dyn Judge,
-    ) -> (EvalReport, StreamStats)
-    where
-        I: IntoIterator<Item = Vec<Question>>,
-    {
-        let mut iter = shards.into_iter();
-        let (report, stats) = self.run_stream(pipe, &mut iter, options, judge, 0);
-        (report, stats)
-    }
-
-    /// Streaming evaluation of a [`DatasetSpec`]: generation runs
-    /// shard-by-shard on the calling thread, overlapped with inference
-    /// on the worker pool, with answer-cache keys bound to the spec's
-    /// fingerprint. Returns the report plus [`StreamStats`] whose
-    /// `generator_peak_resident` records the [`ShardStream`]'s
-    /// high-water mark
-    /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_len` is zero or when the spec is invalid.
-    pub fn evaluate_spec_stream(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-    ) -> (EvalReport, StreamStats) {
-        self.evaluate_spec_stream_with_judge(pipe, spec, shard_len, options, &RuleJudge::new())
-    }
-
-    /// [`evaluate_spec_stream`](ParallelExecutor::evaluate_spec_stream)
-    /// with a caller-supplied judge.
-    pub fn evaluate_spec_stream_with_judge(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        judge: &dyn Judge,
-    ) -> (EvalReport, StreamStats) {
-        // the guard owns the stream so the generator-side high-water
-        // mark is emitted even when the run unwinds mid-stream
-        let mut guard = PeakResidentGuard {
-            stream: spec.stream(shard_len),
-            tele: self.telemetry.clone(),
-        };
-        let (report, mut stats) =
-            self.run_stream(pipe, &mut guard, options, judge, spec.fingerprint());
-        stats.generator_peak_resident = Some(guard.stream.peak_resident());
-        (report, stats)
-    }
-
-    /// Heals a *streamed* supervised report the way
-    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-    /// heals a checkpointed one: every shard containing a
-    /// [`EvalError::WorkerPanic`] outcome is regenerated lazily from the
-    /// spec (only those shards — the rest of the stream is skipped
-    /// without being evaluated) and re-run *unsupervised*, and the
-    /// healed outcomes are patched back positionally. Returns the
-    /// number of shards healed. `shard_len` must match the original
-    /// streamed run, and `report` must cover the full spec.
-    pub fn requeue_quarantined_stream(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        report: &mut EvalReport,
-    ) -> usize {
-        self.requeue_quarantined_stream_with_judge(
-            pipe,
-            spec,
-            shard_len,
-            options,
-            &RuleJudge::new(),
-            report,
-        )
-    }
-
-    /// [`requeue_quarantined_stream`](ParallelExecutor::requeue_quarantined_stream)
-    /// with a caller-supplied judge.
-    #[allow(clippy::too_many_arguments)]
-    pub fn requeue_quarantined_stream_with_judge(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        report: &mut EvalReport,
-    ) -> usize {
-        assert!(shard_len > 0, "shard_len must be positive");
-        assert_eq!(
-            report.outcomes.len(),
-            spec.total(),
-            "report must cover the full spec"
-        );
-        let quarantined: std::collections::BTreeSet<usize> = report
-            .outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.error == Some(EvalError::WorkerPanic))
-            .map(|(pos, _)| pos / shard_len)
-            .collect();
-        if quarantined.is_empty() {
-            return 0;
-        }
-        if self.telemetry.enabled() {
-            self.telemetry
-                .counter("stream.requeue.shards", quarantined.len() as u64);
-        }
-        // lazily regenerate only the quarantined shards — windowed
-        // shard indices are stable under regeneration, so skipping
-        // clean shards cannot shift the quarantined ones
-        let calm = self.unsupervised();
-        let mut selected = spec
-            .stream(shard_len)
-            .enumerate()
-            .filter_map(|(idx, shard)| quarantined.contains(&idx).then_some(shard));
-        let (healed, _) = calm.run_stream(pipe, &mut selected, options, judge, spec.fingerprint());
-        let total = report.outcomes.len();
-        let mut healed_iter = healed.outcomes.into_iter();
-        for &shard_idx in &quarantined {
-            let start = shard_idx * shard_len;
-            let end = ((shard_idx + 1) * shard_len).min(total);
-            for pos in start..end {
-                report.outcomes[pos] = healed_iter.next().expect("healed outcome per position");
-            }
-        }
-        debug_assert!(healed_iter.next().is_none(), "healed run matched selection");
-        quarantined.len()
-    }
-
-    /// The streaming engine: a bounded channel between the generating
-    /// (calling) thread and the worker pool. In-flight questions —
-    /// queued in the channel plus held by workers — are tracked so the
-    /// memory bound is observable, not aspirational: the peak never
-    /// exceeds `(workers + channel capacity + 1) × shard_len` =
-    /// `(2·workers + 1) × shard_len`.
-    ///
-    /// With a [`Supervisor`] attached, the producer drives the windowed
-    /// breaker in global question order as it generates and ships the
-    /// per-question admit decisions alongside each shard, so workers
-    /// obey the exact trajectory a batch [`BreakerSchedule`] would
-    /// prescribe — shed/attempt decisions cannot depend on worker
-    /// count, steal order or shard length.
-    fn run_stream(
-        &self,
-        pipe: &VlmPipeline,
-        shards: &mut dyn Iterator<Item = Vec<Question>>,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        dataset_fp: u64,
-    ) -> (EvalReport, StreamStats) {
-        let workers = self.workers;
-        let tele = &self.telemetry;
-        let _run_span = if tele.enabled() {
-            tele.span_kv("executor.stream", vec![kv("workers", workers)])
-        } else {
-            tele.span("executor.stream")
-        };
-
         let peak_in_flight = Arc::new(AtomicUsize::new(0));
         // emits the run's lifetime gauges even if generation or a
         // worker panic unwinds the scope below
-        let _stats_guard = StreamRunGuard {
+        let _gauges = RunGaugeGuard {
             tele: tele.clone(),
             peak_in_flight: Arc::clone(&peak_in_flight),
             cache: self.cache.clone(),
         };
 
-        let supervisor = self.supervisor.as_deref();
-        let fingerprint = pipe.fingerprint();
-        let mut breaker = supervisor.map(Supervisor::stream_breaker);
-
-        type StreamItem = (usize, Vec<Question>, Option<Vec<bool>>);
-        let (tx, rx) = mpsc::sync_channel::<StreamItem>(workers);
+        let worker = ShardWorker {
+            pipes,
+            options,
+            judge,
+            retry: self.retry,
+            cache: self.cache.as_deref(),
+            supervisor: self.supervisor.as_deref(),
+            tele,
+            dataset_fp,
+        };
+        let mut breakers: Vec<Option<WindowedBreaker>> = vec![None; pipes.len()];
+        type Sealed<'q> = (usize, ShardKey, Cow<'q, [Question]>, Option<Vec<bool>>);
+        let (tx, rx) = mpsc::sync_channel::<Sealed<'q>>(threads);
         let rx = Mutex::new(rx);
         let in_flight = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Vec<QuestionOutcome>)>> = Mutex::new(Vec::new());
-        let cache = self.cache.as_deref();
-        let retry = self.retry;
-        let mut shard_count = 0usize;
-        let mut question_count = 0usize;
+        let done: Mutex<Vec<(usize, ShardOutcomes)>> = Mutex::new(Vec::new());
+        let finish = |(idx, key, questions, admits): Sealed<'q>| {
+            let outcomes = worker.run(key, &questions, admits.as_deref());
+            in_flight.fetch_sub(questions.len(), Ordering::Relaxed);
+            done.lock()
+                .expect("no worker panics holding the results")
+                .push((idx, (key, outcomes)));
+        };
+        let mut shards = 0usize;
+        let mut questions = 0usize;
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let rx = &rx;
-                let results = &results;
-                let in_flight = &in_flight;
-                scope.spawn(move || loop {
-                    let received = rx.lock().expect("stream receiver lock").recv();
-                    let Ok((idx, shard, admits)) = received else {
-                        break;
+        {
+            let _stream_span = tele.span("executor.stream");
+            std::thread::scope(|scope| {
+                for _ in 0..if inline { 0 } else { threads } {
+                    let (rx, finish) = (&rx, &finish);
+                    scope.spawn(move || loop {
+                        let received = rx
+                            .lock()
+                            .expect("no worker panics holding the receiver")
+                            .recv();
+                        let Ok(sealed) = received else { break };
+                        finish(sealed);
+                    });
+                }
+                loop {
+                    let next = {
+                        let _t = tele.timer("stream.generate_ns");
+                        let _g = tele.span("stream.generate");
+                        source.next()
                     };
-                    let _shard_span = tele.span("stream.shard");
-                    let outcomes: Vec<QuestionOutcome> = shard
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, q)| {
-                            let _t = tele.timer("executor.question_ns");
-                            let _q_span = tele.span("executor.question");
-                            match (supervisor, &admits) {
-                                (Some(sup), Some(admits)) => {
-                                    if !admits[offset] {
-                                        tele.counter("stream.breaker.shed", 1);
-                                        return failed_outcome(
-                                            q,
-                                            String::new(),
-                                            EvalError::BreakerOpen,
-                                        );
-                                    }
-                                    std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                        eval_question_supervised(
-                                            pipe, q, options, judge, &retry, cache, sup, tele,
-                                            dataset_fp,
-                                        )
-                                    }))
-                                    .unwrap_or_else(|_| {
-                                        if tele.enabled() {
-                                            tele.counter("executor.panic_caught", 1);
-                                            tele.event("worker.panic", vec![kv("question", &q.id)]);
-                                        }
-                                        failed_outcome(q, String::new(), EvalError::WorkerPanic)
-                                    })
-                                }
-                                _ => std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    eval_question(
-                                        pipe, q, options, judge, &retry, cache, tele, dataset_fp,
-                                    )
-                                }))
-                                .unwrap_or_else(|_| {
-                                    if tele.enabled() {
-                                        tele.counter("executor.panic_caught", 1);
-                                        tele.event("worker.panic", vec![kv("question", &q.id)]);
-                                    }
-                                    failed_outcome(q, String::new(), EvalError::WorkerPanic)
-                                }),
-                            }
-                        })
-                        .collect();
-                    in_flight.fetch_sub(shard.len(), Ordering::Relaxed);
-                    tele.counter("stream.shard_evaluated", 1);
-                    results
-                        .lock()
-                        .expect("stream results lock")
-                        .push((idx, outcomes));
-                });
-            }
-
-            // the calling thread is the producer: generation (and,
-            // supervised, breaker admission) overlaps the workers'
-            // inference
-            let mut idx = 0usize;
-            loop {
-                let shard = {
-                    let _t = tele.timer("stream.generate_ns");
-                    let _g_span = tele.span("stream.generate");
-                    shards.next()
-                };
-                let Some(shard) = shard else { break };
-                let admits = supervisor.map(|sup| {
-                    let wb = breaker.as_mut().expect("breaker exists with supervisor");
-                    let _b_span = tele.span("stream.breaker");
-                    shard
-                        .iter()
-                        .map(|q| {
-                            sup.admit_traced(wb, fingerprint, &q.id, tele, BreakerScope::Stream)
-                        })
-                        .collect::<Vec<bool>>()
-                });
-                shard_count += 1;
-                question_count += shard.len();
-                let now = in_flight.fetch_add(shard.len(), Ordering::Relaxed) + shard.len();
-                peak_in_flight.fetch_max(now, Ordering::Relaxed);
-                if tele.enabled() {
-                    tele.counter("stream.shard_generated", 1);
-                    tele.counter("stream.questions", shard.len() as u64);
+                    let Some((key, shard)) = next else { break };
+                    let admits = worker.supervisor.map(|sup| {
+                        seal(
+                            sup,
+                            &mut breakers[key.model_idx],
+                            &pipes[key.model_idx],
+                            key,
+                            &shard,
+                            tele,
+                        )
+                    });
+                    shards += 1;
+                    questions += shard.len();
+                    let now = in_flight.fetch_add(shard.len(), Ordering::Relaxed) + shard.len();
+                    peak_in_flight.fetch_max(now, Ordering::Relaxed);
+                    if tele.enabled() {
+                        tele.counter("stream.shard_generated", 1);
+                        tele.counter("stream.questions", shard.len() as u64);
+                    }
+                    let sealed = (shards - 1, key, shard, admits);
+                    if inline {
+                        finish(sealed);
+                    } else if tx.send(sealed).is_err() {
+                        break; // all workers gone (cannot happen unpanicked)
+                    }
                 }
-                if tx.send((idx, shard, admits)).is_err() {
-                    break; // all workers gone (cannot happen unpanicked)
-                }
-                idx += 1;
-            }
-            drop(tx); // closes the channel; workers drain and exit
-        });
+                drop(tx); // closes the channel; workers drain and exit
+            });
+        }
 
-        let mut pairs = results.into_inner().expect("stream results lock");
-        pairs.sort_by_key(|&(idx, _)| idx);
-        let quarantined_shards = pairs
+        let mut done = done
+            .into_inner()
+            .expect("no worker panics holding the results");
+        done.sort_by_key(|&(idx, _)| idx);
+        let done: Vec<ShardOutcomes> = done.into_iter().map(|(_, shard)| shard).collect();
+        let quarantined_shards = done
             .iter()
             .filter(|(_, outcomes)| {
                 outcomes
@@ -749,40 +591,254 @@ impl ParallelExecutor {
                     .any(|o| o.error == Some(EvalError::WorkerPanic))
             })
             .count();
-        let report = EvalReport {
-            model: pipe.profile().name.clone(),
-            outcomes: pairs.into_iter().flat_map(|(_, o)| o).collect(),
-            cache_stats: None,
-        };
-        let report = self
-            .finalize(vec![report])
-            .pop()
-            .expect("one streamed report");
         let stats = StreamStats {
-            shards: shard_count,
-            questions: question_count,
+            shards,
+            questions,
             peak_in_flight: peak_in_flight.load(Ordering::Relaxed),
             generator_peak_resident: None,
             quarantined_shards,
         };
-        (report, stats)
+        (done, stats)
     }
 }
 
-/// Drop-guard that emits a streaming run's lifetime gauges —
+/// Decides every question of one shard through its model's windowed
+/// breaker, in global question order. A breaker that did not just
+/// decide the question before `key.q_start` — the first shard of a
+/// model, or a selected shard after a gap — is repositioned at the
+/// shard's window; state resets at window boundaries, so that yields
+/// the decisions a breaker walking the whole prefix would.
+fn seal(
+    sup: &Supervisor,
+    breaker: &mut Option<WindowedBreaker>,
+    pipe: &VlmPipeline,
+    key: ShardKey,
+    questions: &[Question],
+    tele: &Telemetry,
+) -> Vec<bool> {
+    let _span = tele.span("breaker.seal");
+    if breaker
+        .as_ref()
+        .is_some_and(|wb| wb.next_index() != key.q_start)
+    {
+        *breaker = None;
+    }
+    let wb = breaker.get_or_insert_with(|| {
+        debug_assert_eq!(key.q_start % BREAKER_WINDOW, 0, "shard off a window");
+        sup.stream_breaker_at(key.q_start / BREAKER_WINDOW)
+    });
+    let fingerprint = pipe.fingerprint();
+    questions
+        .iter()
+        .map(|q| sup.admit_traced(wb, fingerprint, &q.id, tele))
+        .collect()
+}
+
+/// Everything a worker needs to evaluate a shard.
+struct ShardWorker<'a> {
+    pipes: &'a [VlmPipeline],
+    options: EvalOptions,
+    judge: &'a dyn Judge,
+    retry: RetryPolicy,
+    cache: Option<&'a AnswerCache>,
+    supervisor: Option<&'a Supervisor>,
+    tele: &'a Telemetry,
+    dataset_fp: u64,
+}
+
+impl ShardWorker<'_> {
+    /// Evaluates one sealed shard under a `stream.shard` span carrying
+    /// `model`/`q_start`/`q_end` (the span the resident service turns
+    /// into progress events). Shed questions never run; a panic — an
+    /// injected fault or a genuine bug — is caught and becomes an
+    /// [`EvalError::WorkerPanic`] outcome, quarantining the shard
+    /// instead of aborting the run.
+    fn run(
+        &self,
+        key: ShardKey,
+        questions: &[Question],
+        admits: Option<&[bool]>,
+    ) -> Vec<QuestionOutcome> {
+        let tele = self.tele;
+        let pipe = &self.pipes[key.model_idx];
+        let _span = if tele.enabled() {
+            tele.span_kv(
+                "stream.shard",
+                vec![
+                    kv("model", &pipe.profile().name),
+                    kv("q_start", key.q_start),
+                    kv("q_end", key.q_end),
+                ],
+            )
+        } else {
+            tele.span("stream.shard")
+        };
+        let outcomes = questions
+            .iter()
+            .enumerate()
+            .map(|(offset, q)| {
+                let _t = tele.timer("executor.question_ns");
+                let _q = tele.span("executor.question");
+                if admits.is_some_and(|admits| !admits[offset]) {
+                    tele.counter("breaker.shed", 1);
+                    return failed_outcome(q, EvalError::BreakerOpen);
+                }
+                std::panic::catch_unwind(AssertUnwindSafe(|| self.question(pipe, q)))
+                    .unwrap_or_else(|_| {
+                        if tele.enabled() {
+                            tele.counter("executor.panic_caught", 1);
+                            tele.event("worker.panic", vec![kv("question", &q.id)]);
+                        }
+                        failed_outcome(q, EvalError::WorkerPanic)
+                    })
+            })
+            .collect();
+        tele.counter("stream.shard_evaluated", 1);
+        outcomes
+    }
+
+    /// The sequential harness's per-question loop, with the cache
+    /// interposed before inference and the retry policy around the
+    /// judge. Supervised, every inference and judge call goes through
+    /// the supervisor's fault injection + recovery, and the first
+    /// terminal failure at any site aborts the question with a
+    /// structured error (degraded truncated/garbled evidence is kept as
+    /// the recorded response).
+    fn question(&self, pipe: &VlmPipeline, q: &Question) -> QuestionOutcome {
+        let (tele, cache) = (self.tele, self.cache);
+        let options = self.options;
+        let mut passed = false;
+        let mut first_response = String::new();
+        let mut first_path = AnswerPath::Failed;
+        let mut error = None;
+        for attempt in 0..options.attempts.max(1) {
+            let answer = match self.supervisor {
+                Some(sup) => sup.infer(
+                    pipe,
+                    q,
+                    options.downsample,
+                    attempt,
+                    cache,
+                    tele,
+                    self.dataset_fp,
+                ),
+                None => Ok(infer_cached_for(
+                    pipe,
+                    q,
+                    options.downsample,
+                    attempt,
+                    cache,
+                    tele,
+                    self.dataset_fp,
+                )),
+            };
+            let answer = match answer {
+                Ok(answer) => answer,
+                Err((e, degraded)) => {
+                    if attempt == 0 {
+                        if let Some(text) = degraded {
+                            first_response = text;
+                        }
+                    }
+                    error = Some(e);
+                    break;
+                }
+            };
+            if attempt == 0 {
+                first_response = answer.text.clone();
+                first_path = answer.path;
+            }
+            let judged = {
+                let _span = tele.span("judge");
+                match self.supervisor {
+                    Some(sup) => sup.judged(
+                        self.judge,
+                        &self.retry,
+                        pipe.fingerprint(),
+                        q,
+                        &answer.text,
+                        tele,
+                    ),
+                    None => Ok(self.retry.judged(self.judge, q, &answer.text)),
+                }
+            };
+            match judged {
+                Ok(true) => {
+                    passed = true;
+                    break;
+                }
+                Ok(false) => {}
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        if error.is_none() {
+            note_verdict(tele, q, passed);
+        }
+        QuestionOutcome {
+            id: q.id.clone(),
+            category: q.category,
+            passed: passed && error.is_none(),
+            response: first_response,
+            path: first_path,
+            error,
+        }
+    }
+}
+
+/// The positional merge every sink shares: each shard's outcomes land
+/// at their key's positions, giving one report per model of `questions`
+/// outcomes, in model order.
+///
+/// # Panics
+///
+/// Panics when a shard's outcome count disagrees with its key or the
+/// shards leave a position uncovered.
+pub(crate) fn merge(
+    pipes: &[VlmPipeline],
+    questions: usize,
+    done: impl IntoIterator<Item = ShardOutcomes>,
+) -> Vec<EvalReport> {
+    let mut per_model: Vec<Vec<Option<QuestionOutcome>>> =
+        pipes.iter().map(|_| vec![None; questions]).collect();
+    for (key, outcomes) in done {
+        assert_eq!(outcomes.len(), key.q_end - key.q_start, "shard shape");
+        for (slot, outcome) in per_model[key.model_idx][key.q_start..key.q_end]
+            .iter_mut()
+            .zip(outcomes)
+        {
+            *slot = Some(outcome);
+        }
+    }
+    pipes
+        .iter()
+        .zip(per_model)
+        .map(|(pipe, slots)| EvalReport {
+            model: pipe.profile().name.clone(),
+            outcomes: slots
+                .into_iter()
+                .map(|s| s.expect("grid fully covered"))
+                .collect(),
+            cache_stats: None,
+        })
+        .collect()
+}
+
+/// Drop-guard that emits an engine run's lifetime gauges —
 /// `stream.peak_in_flight` plus the attached cache's
 /// `cache.lifetime_hits` / `cache.lifetime_misses` — when the run ends
-/// *however* it ends. A panicking generator or a worker panic that
-/// escapes isolation unwinds through [`ParallelExecutor::run_stream`];
+/// *however* it ends. A panicking generator unwinds through the engine;
 /// without the guard those emissions would sit after the unwind point
 /// and be lost.
-struct StreamRunGuard {
+struct RunGaugeGuard {
     tele: Telemetry,
     peak_in_flight: Arc<AtomicUsize>,
     cache: Option<Arc<AnswerCache>>,
 }
 
-impl Drop for StreamRunGuard {
+impl Drop for RunGaugeGuard {
     fn drop(&mut self) {
         if !self.tele.enabled() {
             return;
@@ -801,25 +857,48 @@ impl Drop for StreamRunGuard {
     }
 }
 
-/// Drop-guard around a [`ShardStream`](chipvqa_core::spec::ShardStream):
-/// delegates iteration, and emits the generator-side
-/// `stream.peak_resident` gauge on drop so the memory high-water mark
-/// survives error/early-return paths (the happy path additionally
-/// records it on [`StreamStats`]).
-struct PeakResidentGuard {
-    stream: chipvqa_core::spec::ShardStream,
+/// The spec-stream source: shards of a [`ShardStream`] keyed by their
+/// stable index (model 0), optionally only the `select`ed indices. Emits
+/// the generator-side `stream.peak_resident` gauge on drop, so the
+/// memory high-water mark survives error/early-return paths (the happy
+/// path additionally records it on [`StreamStats`]).
+struct SpecShards {
+    stream: ShardStream,
+    select: Option<BTreeSet<usize>>,
     tele: Telemetry,
 }
 
-impl Iterator for PeakResidentGuard {
-    type Item = Vec<Question>;
+impl Iterator for SpecShards {
+    type Item = SourceShard<'static>;
 
-    fn next(&mut self) -> Option<Vec<Question>> {
-        self.stream.next()
+    fn next(&mut self) -> Option<Self::Item> {
+        let shard_len = self.stream.shard_len();
+        loop {
+            if let Some(select) = &self.select {
+                // indices are stable: nothing selected lies past the last
+                if select
+                    .last()
+                    .is_none_or(|&last| self.stream.shards_emitted() > last)
+                {
+                    return None;
+                }
+            }
+            let (idx, shard) = self.stream.next_indexed()?;
+            if self.select.as_ref().is_some_and(|s| !s.contains(&idx)) {
+                continue;
+            }
+            let q_start = idx * shard_len;
+            let key = ShardKey {
+                model_idx: 0,
+                q_start,
+                q_end: q_start + shard.len(),
+            };
+            return Some((key, Cow::Owned(shard)));
+        }
     }
 }
 
-impl Drop for PeakResidentGuard {
+impl Drop for SpecShards {
     fn drop(&mut self) {
         if self.tele.enabled() {
             self.tele
@@ -828,22 +907,21 @@ impl Drop for PeakResidentGuard {
     }
 }
 
-/// Observability of one streaming run: how much was generated and the
-/// high-water marks that certify the memory bound.
+/// Observability of one engine run: how much was pulled from the source
+/// and the high-water marks that certify the memory bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamStats {
-    /// Shards generated (and evaluated).
+    /// Shards pulled from the source (and evaluated).
     pub shards: usize,
-    /// Questions generated (and evaluated).
+    /// Questions pulled from the source (and evaluated).
     pub questions: usize,
     /// Peak questions in flight inside the executor: queued in the
     /// bounded channel plus held by workers. Bounded by
     /// `(2·workers + 1) × shard_len`.
     pub peak_in_flight: usize,
     /// The generator-side high-water mark
-    /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)),
-    /// recorded by the spec-streaming entry points; `None` for generic
-    /// iterator streams.
+    /// ([`ShardStream::peak_resident`]), recorded by
+    /// [`evaluate_spec_stream`](ParallelExecutor::evaluate_spec_stream).
     pub generator_peak_resident: Option<usize>,
     /// Shards containing at least one
     /// [`EvalError::WorkerPanic`] outcome — the ones
@@ -851,96 +929,6 @@ pub struct StreamStats {
     /// would heal. Zero on unsupervised runs without genuine panics.
     #[serde(default)]
     pub quarantined_shards: usize,
-}
-
-/// Pops local work, stealing from the busiest-looking victim when the
-/// local deque is empty. Returns `None` when no work is left anywhere.
-fn take_work(
-    deques: &[Mutex<VecDeque<(usize, Shard)>>],
-    me: usize,
-    tele: &Telemetry,
-) -> Option<(usize, Shard)> {
-    if let Some(item) = deques[me].lock().expect("deque lock").pop_front() {
-        tele.counter("executor.queue.local_pop", 1);
-        return Some(item);
-    }
-    for offset in 1..deques.len() {
-        let victim = (me + offset) % deques.len();
-        if let Some(item) = deques[victim].lock().expect("deque lock").pop_back() {
-            tele.counter("executor.queue.steal", 1);
-            return Some(item);
-        }
-    }
-    None
-}
-
-/// The grid's shard list in deterministic (model, question-range) order.
-fn plan_shards(models: usize, questions: usize) -> Vec<Shard> {
-    let mut shards = Vec::new();
-    for model_idx in 0..models {
-        let mut q_start = 0;
-        while q_start < questions {
-            let q_end = (q_start + SHARD_SIZE).min(questions);
-            shards.push(Shard {
-                model_idx,
-                q_start,
-                q_end,
-            });
-            q_start = q_end;
-        }
-    }
-    shards
-}
-
-/// Exactly the sequential harness's per-question loop, with the cache
-/// interposed before inference and the retry policy around the judge.
-/// `dataset_fp` keys the cache to a [`DatasetSpec`] (0 = canonical).
-#[allow(clippy::too_many_arguments)]
-fn eval_question(
-    pipe: &VlmPipeline,
-    q: &Question,
-    options: EvalOptions,
-    judge: &dyn Judge,
-    retry: &RetryPolicy,
-    cache: Option<&AnswerCache>,
-    tele: &Telemetry,
-    dataset_fp: u64,
-) -> QuestionOutcome {
-    let mut passed = false;
-    let mut first_response = String::new();
-    let mut first_path = AnswerPath::Failed;
-    for attempt in 0..options.attempts.max(1) {
-        let answer = infer_cached_for(
-            pipe,
-            q,
-            options.downsample,
-            attempt,
-            cache,
-            tele,
-            dataset_fp,
-        );
-        if attempt == 0 {
-            first_response = answer.text.clone();
-            first_path = answer.path;
-        }
-        let verdict = {
-            let _span = tele.span("judge");
-            retry.judged(judge, q, &answer.text)
-        };
-        if verdict {
-            passed = true;
-            break;
-        }
-    }
-    note_verdict(tele, q, passed);
-    QuestionOutcome {
-        id: q.id.clone(),
-        category: q.category,
-        passed,
-        response: first_response,
-        path: first_path,
-        error: None,
-    }
 }
 
 /// Counts one final verdict, bucketed by answer type:
@@ -958,124 +946,12 @@ fn note_verdict(tele: &Telemetry, q: &Question, passed: bool) {
     tele.counter(name, 1);
 }
 
-/// Supervised per-question evaluation with panic isolation: breaker
-/// sheds never run, injected (or genuine) worker panics are caught with
-/// `catch_unwind` and become a structured [`EvalError::WorkerPanic`]
-/// outcome — quarantining the question instead of aborting the run.
-#[allow(clippy::too_many_arguments)]
-fn eval_question_isolated(
-    pipe: &VlmPipeline,
-    q: &Question,
-    options: EvalOptions,
-    judge: &dyn Judge,
-    retry: &RetryPolicy,
-    cache: Option<&AnswerCache>,
-    sup: &Supervisor,
-    schedule: &BreakerSchedule,
-    question_index: usize,
-    tele: &Telemetry,
-    dataset_fp: u64,
-) -> QuestionOutcome {
-    if !schedule.attempts_question(question_index) {
-        tele.counter("breaker.shed", 1);
-        return failed_outcome(q, String::new(), EvalError::BreakerOpen);
-    }
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        eval_question_supervised(pipe, q, options, judge, retry, cache, sup, tele, dataset_fp)
-    }))
-    .unwrap_or_else(|_| {
-        if tele.enabled() {
-            tele.counter("executor.panic_caught", 1);
-            tele.event("worker.panic", vec![kv("question", &q.id)]);
-        }
-        failed_outcome(q, String::new(), EvalError::WorkerPanic)
-    })
-}
-
-/// The supervised mirror of [`eval_question`]: every inference and judge
-/// call goes through the supervisor's fault injection + recovery. The
-/// first terminal failure at any site aborts the question with a
-/// structured error (degraded truncated/garbled evidence is kept as the
-/// recorded response).
-#[allow(clippy::too_many_arguments)]
-fn eval_question_supervised(
-    pipe: &VlmPipeline,
-    q: &Question,
-    options: EvalOptions,
-    judge: &dyn Judge,
-    retry: &RetryPolicy,
-    cache: Option<&AnswerCache>,
-    sup: &Supervisor,
-    tele: &Telemetry,
-    dataset_fp: u64,
-) -> QuestionOutcome {
-    let fingerprint = pipe.fingerprint();
-    let mut passed = false;
-    let mut first_response = String::new();
-    let mut first_path = AnswerPath::Failed;
-    let mut error = None;
-    'attempts: for attempt in 0..options.attempts.max(1) {
-        match sup.infer(
-            pipe,
-            q,
-            options.downsample,
-            attempt,
-            cache,
-            tele,
-            dataset_fp,
-        ) {
-            Ok(answer) => {
-                if attempt == 0 {
-                    first_response = answer.text.clone();
-                    first_path = answer.path;
-                }
-                let judged = {
-                    let _span = tele.span("judge");
-                    sup.judged(judge, retry, fingerprint, q, &answer.text, tele)
-                };
-                match judged {
-                    Ok(true) => {
-                        passed = true;
-                        break 'attempts;
-                    }
-                    Ok(false) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        break 'attempts;
-                    }
-                }
-            }
-            Err((e, degraded)) => {
-                if attempt == 0 {
-                    if let Some(text) = degraded {
-                        first_response = text;
-                    }
-                }
-                error = Some(e);
-                break 'attempts;
-            }
-        }
-    }
-    let passed = passed && error.is_none();
-    if error.is_none() {
-        note_verdict(tele, q, passed);
-    }
-    QuestionOutcome {
-        id: q.id.clone(),
-        category: q.category,
-        passed,
-        response: first_response,
-        path: first_path,
-        error,
-    }
-}
-
-fn failed_outcome(q: &Question, response: String, error: EvalError) -> QuestionOutcome {
+fn failed_outcome(q: &Question, error: EvalError) -> QuestionOutcome {
     QuestionOutcome {
         id: q.id.clone(),
         category: q.category,
         passed: false,
-        response,
+        response: String::new(),
         path: AnswerPath::Failed,
         error: Some(error),
     }
@@ -1109,116 +985,6 @@ pub(crate) fn infer_cached_for(
     cache.insert(key, answer.clone());
     tele.counter("cache.insert", 1);
     answer
-}
-
-/// Merges per-shard outcomes into per-model reports, question order
-/// restored positionally.
-fn merge_reports(
-    pipes: &[VlmPipeline],
-    bench: &ChipVqa,
-    results: Vec<Vec<QuestionOutcome>>,
-) -> Vec<EvalReport> {
-    let shards = plan_shards(pipes.len(), bench.len());
-    assert_eq!(shards.len(), results.len(), "one result per shard");
-    let mut per_model: Vec<Vec<Option<QuestionOutcome>>> =
-        pipes.iter().map(|_| vec![None; bench.len()]).collect();
-    for (shard, outcomes) in shards.iter().zip(results) {
-        assert_eq!(outcomes.len(), shard.q_end - shard.q_start, "shard shape");
-        for (offset, outcome) in outcomes.into_iter().enumerate() {
-            per_model[shard.model_idx][shard.q_start + offset] = Some(outcome);
-        }
-    }
-    pipes
-        .iter()
-        .zip(per_model)
-        .map(|(pipe, slots)| EvalReport {
-            model: pipe.profile().name.clone(),
-            outcomes: slots
-                .into_iter()
-                .map(|s| s.expect("grid fully covered"))
-                .collect(),
-            cache_stats: None,
-        })
-        .collect()
-}
-
-/// Internal hooks for the checkpoint module: shard planning and shard
-/// execution with a caller-chosen subset.
-pub(crate) mod internal {
-    use super::*;
-
-    /// Serialisable mirror of the internal shard (stable identity for
-    /// checkpoints).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-    pub struct ShardKey {
-        /// Model index in the grid.
-        pub model_idx: usize,
-        /// First question index (inclusive).
-        pub q_start: usize,
-        /// Last question index (exclusive).
-        pub q_end: usize,
-    }
-
-    /// Shard keys for a grid, in canonical order.
-    pub fn shard_keys(models: usize, questions: usize) -> Vec<ShardKey> {
-        plan_shards(models, questions)
-            .into_iter()
-            .map(|s| ShardKey {
-                model_idx: s.model_idx,
-                q_start: s.q_start,
-                q_end: s.q_end,
-            })
-            .collect()
-    }
-
-    /// Runs exactly `keys` (any subset of the canonical plan) and
-    /// returns their outcomes in the same order.
-    pub fn run_selected(
-        exec: &ParallelExecutor,
-        pipes: &[VlmPipeline],
-        bench: &ChipVqa,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        keys: &[ShardKey],
-    ) -> Vec<Vec<QuestionOutcome>> {
-        let shards: Vec<Shard> = keys
-            .iter()
-            .map(|k| Shard {
-                model_idx: k.model_idx,
-                q_start: k.q_start,
-                q_end: k.q_end,
-            })
-            .collect();
-        exec.run_shards(pipes, bench, options, judge, &shards)
-    }
-
-    /// Positional merge exposed for checkpoint assembly.
-    pub fn merge_from_pairs(
-        pipes: &[VlmPipeline],
-        bench: &ChipVqa,
-        pairs: &[(ShardKey, Vec<QuestionOutcome>)],
-    ) -> Vec<EvalReport> {
-        let mut per_model: Vec<Vec<Option<QuestionOutcome>>> =
-            pipes.iter().map(|_| vec![None; bench.len()]).collect();
-        for (key, outcomes) in pairs {
-            assert_eq!(outcomes.len(), key.q_end - key.q_start, "shard shape");
-            for (offset, outcome) in outcomes.iter().enumerate() {
-                per_model[key.model_idx][key.q_start + offset] = Some(outcome.clone());
-            }
-        }
-        pipes
-            .iter()
-            .zip(per_model)
-            .map(|(pipe, slots)| EvalReport {
-                model: pipe.profile().name.clone(),
-                outcomes: slots
-                    .into_iter()
-                    .map(|s| s.expect("grid fully covered"))
-                    .collect(),
-                cache_stats: None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1328,7 +1094,7 @@ mod tests {
 
     #[test]
     fn shard_plan_covers_grid_exactly_once() {
-        let shards = plan_shards(3, 142);
+        let shards = shard_keys(3, 142);
         let mut seen = vec![vec![0u8; 142]; 3];
         for s in &shards {
             #[allow(clippy::needless_range_loop)]
@@ -1455,11 +1221,13 @@ mod tests {
         );
         let snap = tele.snapshot();
         assert_eq!(snap.spans["executor.run"].count, 1);
+        let shards = bench.len().div_ceil(SHARD_SIZE) as u64;
+        assert_eq!(snap.counters["stream.shard_generated"], shards);
         assert_eq!(
-            snap.counters["executor.queue.local_pop"] + snap.counters["executor.queue.steal"],
-            snap.counters["executor.shards"],
-            "every shard was popped or stolen exactly once"
+            snap.counters["stream.shard_evaluated"], shards,
+            "every shard pulled from the source was evaluated exactly once"
         );
+        assert_eq!(snap.spans["stream.shard"].count, shards);
         let verdicts: u64 = snap
             .counters
             .iter()
@@ -1491,7 +1259,7 @@ mod tests {
         // spans are hierarchical: inference nests under the worker's
         // shard/question spans
         assert_eq!(
-            snap.spans["executor.shard/executor.question/inference"].count as usize,
+            snap.spans["stream.shard/executor.question/inference"].count as usize,
             bench.len()
         );
 
@@ -1507,17 +1275,14 @@ mod tests {
     #[test]
     fn streamed_standard_bench_matches_batch_evaluation() {
         let bench = ChipVqa::standard();
+        let spec = DatasetSpec::scaled(1);
         let pipe = VlmPipeline::new(ModelZoo::gpt4o());
         let batch = crate::harness::evaluate(&pipe, &bench, EvalOptions::default());
         for workers in [1usize, 4] {
-            let shards: Vec<Vec<Question>> = bench
-                .questions()
-                .chunks(SHARD_SIZE)
-                .map(<[Question]>::to_vec)
-                .collect();
-            let (streamed, stats) = ParallelExecutor::new(workers).evaluate_stream(
+            let (streamed, stats) = ParallelExecutor::new(workers).evaluate_spec_stream(
                 &pipe,
-                shards,
+                &spec,
+                SHARD_SIZE,
                 EvalOptions::default(),
             );
             assert_eq!(batch, streamed, "workers = {workers}");
@@ -1658,15 +1423,28 @@ mod tests {
         let exec = ParallelExecutor::new(2)
             .with_cache(Arc::clone(&cache))
             .with_telemetry(tele.clone());
-        let questions = bench.questions().to_vec();
-        let shards = (0..4).map(move |i| {
+        let questions = bench.questions();
+        let shards = (0..4).map(|i| {
             if i == 2 {
                 panic!("generator exploded mid-stream");
             }
-            questions[i * SHARD_SIZE..(i + 1) * SHARD_SIZE].to_vec()
+            let key = ShardKey {
+                model_idx: 0,
+                q_start: i * SHARD_SIZE,
+                q_end: (i + 1) * SHARD_SIZE,
+            };
+            (key, Cow::Borrowed(&questions[key.q_start..key.q_end]))
         });
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.evaluate_stream(&pipe, shards, EvalOptions::default())
+            let pipes = std::slice::from_ref(&pipe);
+            exec.run(
+                pipes,
+                shards,
+                true,
+                EvalOptions::default(),
+                &RuleJudge::new(),
+                0,
+            )
         }));
         assert!(caught.is_err(), "the generator panic propagates");
         // the drop-guard emitted the lifetime gauges despite the unwind

@@ -78,14 +78,13 @@ use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{bench_hash, ShardResult};
-use crate::executor::internal::{merge_from_pairs, run_selected, shard_keys};
-use crate::executor::ParallelExecutor;
+use crate::executor::{self, shard_keys, ParallelExecutor};
 use crate::harness::{EvalOptions, EvalReport};
 use crate::judge::Judge;
 use crate::store::{fnv1a64, holder_dead, own_start_token, pid_alive};
 use crate::supervisor::EvalError;
 
-pub use crate::executor::internal::ShardKey;
+pub use crate::executor::ShardKey;
 
 /// On-disk fleet format version, stamped in `manifest.json`.
 pub const FLEET_FORMAT_VERSION: u32 = 1;
@@ -663,7 +662,15 @@ pub fn run_worker(
                 std::thread::sleep(config.post_claim_delay);
             }
             let runner = if healing { &calm } else { exec };
-            let outcomes = run_selected(runner, job.pipes, job.bench, job.options, judge, &[*key])
+            let (_, outcomes) = runner
+                .run_bench(
+                    job.pipes,
+                    job.bench,
+                    std::slice::from_ref(key),
+                    job.options,
+                    judge,
+                    job.spec_fingerprint.unwrap_or(0),
+                )
                 .pop()
                 .expect("one shard requested");
             let panicked = outcomes
@@ -881,7 +888,7 @@ pub fn merge(
             total: keys.len(),
         });
     }
-    let reports = merge_from_pairs(job.pipes, job.bench, &pairs);
+    let reports = executor::merge(job.pipes, job.bench.len(), pairs);
     telemetry.counter("fleet.merge.done", 1);
     if telemetry.enabled() {
         telemetry.event(

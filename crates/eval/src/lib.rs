@@ -15,11 +15,13 @@
 //! degradation study; [`noisy`] models an imperfect LLM auto-judge and
 //! the paper's hybrid manual-override mechanism for robustness studies.
 //!
-//! For large runs, [`executor`] provides a work-stealing
-//! [`ParallelExecutor`] whose reports are identical to the sequential
-//! harness for any worker count, with an optional answer [`cache`]
-//! (hits skip inference) and judge retry with majority vote;
-//! [`checkpoint`] adds kill/resume for grid evaluations. The cache can
+//! For large runs, [`executor`] provides the [`ParallelExecutor`]: one
+//! shard engine that runs a materialised bench, a lazily generated
+//! spec stream, a checkpoint's pending shards or a fleet claim, with
+//! reports identical to the sequential harness for any worker count,
+//! an optional answer [`cache`] (hits skip inference) and judge retry
+//! with majority vote; [`checkpoint`] adds kill/resume for grid
+//! evaluations. The cache can
 //! be backed by a persistent content-addressed [`store`] — an
 //! append-only, checksummed, crash-recoverable on-disk tier — so reruns
 //! warm-start across process restarts.
@@ -29,9 +31,10 @@
 //! rate-limit bursts, transient errors, worker panics) and
 //! [`supervisor`] the recovery side: deadlines, bounded jittered
 //! retries, per-model *windowed* circuit breakers, and panic isolation.
-//! Supervision works on both the materialized grid path and streaming
-//! intake ([`evaluate_spec_stream`](executor::ParallelExecutor::evaluate_spec_stream))
-//! with byte-identical reports. Failures that exhaust recovery become a
+//! Supervision works on every shard source — materialised grids and
+//! streaming intake
+//! ([`evaluate_spec_stream`](executor::ParallelExecutor::evaluate_spec_stream))
+//! alike — with byte-identical reports. Failures that exhaust recovery become a
 //! structured [`EvalError`](supervisor::EvalError) on the outcome, and
 //! reports carry explicit coverage/failure accounting so a degraded
 //! report is visibly degraded rather than silently wrong.

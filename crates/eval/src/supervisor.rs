@@ -21,18 +21,19 @@
 //! is replayed from each question's *first-attempt health* (a pure
 //! function of the fault plan). A decision therefore depends only on
 //! `(plan seed, model fingerprint, window index, the window's own
-//! question ids)` — never on how much of the collection exists yet, so
-//! the same trajectory falls out whether the bench was materialized
-//! up-front (batch replays it into a [`BreakerSchedule`] workers
-//! consult read-only) or generated lazily (the streaming producer
-//! drives a [`WindowedBreaker`] incrementally). That is what lets
-//! supervised streamed reports be byte-identical to supervised batch
-//! reports at any worker count and any shard length.
+//! question ids)` — never on how much of the collection exists yet, nor
+//! on which other shards a run selected. The executor's producer drives
+//! one [`WindowedBreaker`] per model in global question order and seals
+//! each shard's admit decisions before a worker sees it; a shard whose
+//! predecessor was not decided (a checkpoint's pending set, a fleet
+//! claim) repositions the breaker at its window with
+//! [`Supervisor::stream_breaker_at`]. That is what lets supervised
+//! reports be byte-identical at any worker count, shard length and
+//! shard source.
 
 use std::panic::panic_any;
 
 use chipvqa_core::question::Question;
-use chipvqa_core::ChipVqa;
 use chipvqa_models::VlmPipeline;
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -279,12 +280,10 @@ impl CircuitBreaker {
 /// streamed call-site coordinate system names exactly these windows.
 pub const BREAKER_WINDOW: usize = crate::fault::StreamCoord::WINDOW;
 
-/// The streaming face of the windowed breaker: incremental per-window
-/// replay, advanced one question at a time in global-index order by
-/// [`Supervisor::admit`]. Holds O(1) state — exactly what a lazily
-/// generated collection permits — while producing decisions identical
-/// to the batch [`BreakerSchedule`] (which is itself computed by
-/// driving one of these over the materialized bench).
+/// The windowed breaker: incremental per-window replay, advanced one
+/// question at a time in global-index order by [`Supervisor::admit`].
+/// Holds O(1) state — exactly what a lazily generated collection
+/// permits — and needs no materialised bench.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedBreaker {
     zero: bool,
@@ -308,74 +307,6 @@ impl WindowedBreaker {
     /// Global index of the next question to be decided.
     pub fn next_index(&self) -> usize {
         self.next_index
-    }
-}
-
-/// Which telemetry namespace a windowed-breaker decision reports under:
-/// `breaker.*` for the batch schedule replay, `stream.breaker.*` for
-/// streamed intake. The decisions themselves are identical — only the
-/// names differ, so traces say which path shed a question.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BreakerScope {
-    /// Batch replay into a [`BreakerSchedule`] (`breaker.*`).
-    Batch,
-    /// Incremental streamed intake (`stream.breaker.*`).
-    Stream,
-}
-
-impl BreakerScope {
-    pub(crate) fn transition(self) -> &'static str {
-        match self {
-            BreakerScope::Batch => "breaker.transition",
-            BreakerScope::Stream => "stream.breaker.transition",
-        }
-    }
-
-    pub(crate) fn transitions(self) -> &'static str {
-        match self {
-            BreakerScope::Batch => "breaker.transitions",
-            BreakerScope::Stream => "stream.breaker.transitions",
-        }
-    }
-
-    pub(crate) fn trips(self) -> &'static str {
-        match self {
-            BreakerScope::Batch => "breaker.trips",
-            BreakerScope::Stream => "stream.breaker.trips",
-        }
-    }
-}
-
-/// Precomputed breaker decisions for one model over one benchmark —
-/// the windowed trajectory replayed over the materialized question
-/// sequence, shared read-only by all workers (see the module docs on
-/// determinism).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerSchedule {
-    attempts: Vec<bool>,
-    trips: u32,
-    final_state: BreakerState,
-}
-
-impl BreakerSchedule {
-    /// Whether question `index` is attempted (false = shed by breaker).
-    pub fn attempts_question(&self, index: usize) -> bool {
-        self.attempts.get(index).copied().unwrap_or(true)
-    }
-
-    /// How many questions the breaker shed.
-    pub fn shed_count(&self) -> usize {
-        self.attempts.iter().filter(|&&a| !a).count()
-    }
-
-    /// How many times the breaker opened over the run.
-    pub fn trips(&self) -> u32 {
-        self.trips
-    }
-
-    /// Breaker state after the last question.
-    pub fn final_state(&self) -> BreakerState {
-        self.final_state
     }
 }
 
@@ -474,45 +405,7 @@ impl Supervisor {
         None
     }
 
-    /// Replays the windowed breaker over `bench` in question order for
-    /// one model, producing the deterministic shed/attempt schedule
-    /// workers obey.
-    pub fn breaker_schedule(&self, fingerprint: u64, bench: &ChipVqa) -> BreakerSchedule {
-        self.breaker_schedule_traced(fingerprint, bench, &Telemetry::disabled())
-    }
-
-    /// [`breaker_schedule`](Supervisor::breaker_schedule), additionally
-    /// emitting one `breaker.transition` event per state change (with
-    /// the question that drove it) and bumping the
-    /// `breaker.transitions` / `breaker.trips` counters.
-    pub fn breaker_schedule_traced(
-        &self,
-        fingerprint: u64,
-        bench: &ChipVqa,
-        tele: &Telemetry,
-    ) -> BreakerSchedule {
-        if self.plan().is_zero() {
-            return BreakerSchedule {
-                attempts: vec![true; bench.len()],
-                trips: 0,
-                final_state: BreakerState::Closed,
-            };
-        }
-        let mut wb = self.stream_breaker();
-        let attempts: Vec<bool> = bench
-            .iter()
-            .map(|q| self.admit_traced(&mut wb, fingerprint, &q.id, tele, BreakerScope::Batch))
-            .collect();
-        BreakerSchedule {
-            attempts,
-            trips: wb.trips(),
-            final_state: wb.state(),
-        }
-    }
-
-    /// A fresh [`WindowedBreaker`] positioned at global index 0 — the
-    /// incremental twin of [`breaker_schedule`](Supervisor::breaker_schedule)
-    /// for streamed intake, where the bench is never materialized.
+    /// A fresh [`WindowedBreaker`] positioned at global index 0.
     pub fn stream_breaker(&self) -> WindowedBreaker {
         self.stream_breaker_at(0)
     }
@@ -521,8 +414,8 @@ impl Supervisor {
     /// `window` (global index `window × BREAKER_WINDOW`). Because state
     /// resets at every window boundary, decisions from here on are
     /// identical to a breaker that walked the whole prefix — the
-    /// order-independence the streamed requeue path and the chaos wall
-    /// rely on.
+    /// order-independence a selected shard (checkpoint resume, fleet
+    /// claim) relies on.
     pub fn stream_breaker_at(&self, window: usize) -> WindowedBreaker {
         WindowedBreaker {
             zero: self.plan().is_zero(),
@@ -533,34 +426,25 @@ impl Supervisor {
     }
 
     /// Decides the question at `wb`'s next global index: `true` to
-    /// attempt, `false` to shed. Must be called in global-index order
-    /// (the stream producer's natural order). A zero plan admits
-    /// everything without touching breaker state, so zero-plan
-    /// supervised streaming stays byte- and trace-identical to
-    /// unsupervised streaming.
+    /// attempt, `false` to shed. Must be called in global-index order.
+    /// A zero plan admits everything without touching breaker state, so
+    /// zero-plan supervised runs stay byte- and trace-identical to
+    /// unsupervised ones.
     pub fn admit(&self, wb: &mut WindowedBreaker, fingerprint: u64, question_id: &str) -> bool {
-        self.admit_traced(
-            wb,
-            fingerprint,
-            question_id,
-            &Telemetry::disabled(),
-            BreakerScope::Stream,
-        )
+        self.admit_traced(wb, fingerprint, question_id, &Telemetry::disabled())
     }
 
-    /// [`admit`](Supervisor::admit) with telemetry: state changes emit
-    /// one `{scope}.transition` event and bump the
-    /// `{scope}.transitions` / `{scope}.trips` counters, where the
-    /// scope prefix is `breaker` (batch replay) or `stream.breaker`
-    /// (streamed intake). Stream events additionally carry the
-    /// [`StreamCoord`](crate::fault::StreamCoord) window.
+    /// [`admit`](Supervisor::admit) with telemetry: a state change emits
+    /// one `breaker.transition` event (carrying the question that drove
+    /// it and its [`StreamCoord`](crate::fault::StreamCoord) window) and
+    /// bumps the `breaker.transitions` counter; a trip bumps
+    /// `breaker.trips`.
     pub(crate) fn admit_traced(
         &self,
         wb: &mut WindowedBreaker,
         fingerprint: u64,
         question_id: &str,
         tele: &Telemetry,
-        scope: BreakerScope,
     ) -> bool {
         let index = wb.next_index;
         wb.next_index += 1;
@@ -582,21 +466,21 @@ impl Supervisor {
         }
         let after = wb.breaker.state();
         if tele.enabled() && after != before {
-            tele.counter(scope.transitions(), 1);
-            let mut kvs = vec![
-                kv("model_fingerprint", fingerprint),
-                kv("question", question_id),
-                kv("from", before.label()),
-                kv("to", after.label()),
-            ];
-            if scope == BreakerScope::Stream {
-                kvs.push(kv("window", crate::fault::StreamCoord::of(index).window));
-            }
-            tele.event(scope.transition(), kvs);
+            tele.counter("breaker.transitions", 1);
+            tele.event(
+                "breaker.transition",
+                vec![
+                    kv("model_fingerprint", fingerprint),
+                    kv("question", question_id),
+                    kv("from", before.label()),
+                    kv("to", after.label()),
+                    kv("window", crate::fault::StreamCoord::of(index).window),
+                ],
+            );
         }
         if wb.breaker.trips() > trips_before {
             wb.trips += 1;
-            tele.counter(scope.trips(), 1);
+            tele.counter("breaker.trips", 1);
         }
         allowed
     }
@@ -796,6 +680,7 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::judge::RuleJudge;
+    use chipvqa_core::ChipVqa;
     use chipvqa_models::ModelZoo;
 
     #[test]
@@ -860,15 +745,15 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed, "streak was broken");
     }
 
-    #[test]
-    fn zero_plan_schedule_attempts_everything() {
-        let bench = ChipVqa::standard();
-        let sup = Supervisor::new(FaultPlan::none());
-        let sched = sup.breaker_schedule(1234, &bench);
-        assert_eq!(sched.shed_count(), 0);
-        assert_eq!(sched.trips(), 0);
-        assert_eq!(sched.final_state(), BreakerState::Closed);
-        assert!((0..bench.len()).all(|i| sched.attempts_question(i)));
+    /// A model's admits over the whole bench, one breaker walking it in
+    /// question order.
+    fn admits(sup: &Supervisor, fp: u64, bench: &ChipVqa) -> (Vec<bool>, WindowedBreaker) {
+        let mut wb = sup.stream_breaker();
+        let admits = bench
+            .iter()
+            .map(|q| sup.admit(&mut wb, fp, &q.id))
+            .collect();
+        (admits, wb)
     }
 
     #[test]
@@ -876,16 +761,16 @@ mod tests {
         let bench = ChipVqa::standard();
         let fp = 0xfeed_beef;
         let sup = Supervisor::new(FaultPlan::none().with_broken_model(fp));
-        let sched = sup.breaker_schedule(fp, &bench);
-        assert!(sched.trips() >= 1, "breaker must open");
+        let (admitted, wb) = admits(&sup, fp, &bench);
+        let shed = admitted.iter().filter(|&&a| !a).count();
+        assert!(wb.trips() >= 1, "breaker must open");
         assert!(
-            sched.shed_count() > bench.len() / 2,
-            "most of a dead model's grid is shed, got {}",
-            sched.shed_count()
+            shed > bench.len() / 2,
+            "most of a dead model's grid is shed, got {shed}"
         );
         // per window, attempts are bounded by threshold + periodic
         // probes; the windowed reset restarts that budget each window
-        let attempted = bench.len() - sched.shed_count();
+        let attempted = bench.len() - shed;
         let cfg = sup.breaker_config();
         let per_window =
             cfg.failure_threshold as usize + BREAKER_WINDOW / (cfg.cooldown as usize + 1) + 1;
@@ -895,38 +780,7 @@ mod tests {
             "{attempted} attempted > bound {max_attempted}"
         );
         // a healthy model on the same plan is untouched
-        assert_eq!(sup.breaker_schedule(0x1, &bench).shed_count(), 0);
-    }
-
-    #[test]
-    fn incremental_admits_match_the_batch_schedule() {
-        let bench = ChipVqa::standard();
-        for (fp, plan) in [
-            (
-                0xfeed_beef,
-                FaultPlan::none().with_broken_model(0xfeed_beef),
-            ),
-            (42, FaultPlan::uniform(7, 0.08)),
-            (42, FaultPlan::uniform(20_260_806, 0.15)),
-        ] {
-            let sup = Supervisor::new(plan);
-            let sched = sup.breaker_schedule(fp, &bench);
-            let mut wb = sup.stream_breaker();
-            let admits: Vec<bool> = bench
-                .iter()
-                .map(|q| sup.admit(&mut wb, fp, &q.id))
-                .collect();
-            let replayed: Vec<bool> = (0..bench.len())
-                .map(|i| sched.attempts_question(i))
-                .collect();
-            assert_eq!(
-                admits, replayed,
-                "streamed admits diverge from batch schedule"
-            );
-            assert_eq!(wb.trips(), sched.trips());
-            assert_eq!(wb.state(), sched.final_state());
-            assert_eq!(wb.next_index(), bench.len());
-        }
+        assert!(admits(&sup, 0x1, &bench).0.iter().all(|&a| a));
     }
 
     #[test]
@@ -974,7 +828,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_scope_emits_prefixed_telemetry() {
+    fn traced_admits_match_untraced_and_emit_breaker_telemetry() {
         use chipvqa_telemetry::{MemorySink, MockClock};
         use std::sync::Arc;
 
@@ -987,18 +841,26 @@ mod tests {
             .sink(Arc::clone(&sink))
             .build();
         let mut wb = sup.stream_breaker();
-        for q in bench.iter() {
-            sup.admit_traced(&mut wb, fp, &q.id, &tele, BreakerScope::Stream);
-        }
+        let traced: Vec<bool> = bench
+            .iter()
+            .map(|q| sup.admit_traced(&mut wb, fp, &q.id, &tele))
+            .collect();
+        let (untraced, plain) = admits(&sup, fp, &bench);
+        assert_eq!(traced, untraced, "telemetry never changes a decision");
+        assert_eq!(wb, plain);
         let snap = tele.snapshot();
-        assert!(snap.counters["stream.breaker.trips"] >= 1);
-        assert_eq!(snap.counters["stream.breaker.trips"], u64::from(wb.trips()));
-        assert!(
-            !snap.counters.contains_key("breaker.trips"),
-            "batch names unused"
+        assert!(snap.counters["breaker.trips"] >= 1);
+        assert_eq!(
+            snap.counters["breaker.trips"],
+            u64::from(wb.trips()),
+            "counter matches the breaker's trip count"
         );
-        let transitions = sink.named("stream.breaker.transition");
+        let transitions = sink.named("breaker.transition");
         assert!(!transitions.is_empty());
+        assert_eq!(
+            snap.counters["breaker.transitions"],
+            transitions.len() as u64
+        );
         assert_eq!(transitions[0].get("from"), Some("closed"));
         assert_eq!(transitions[0].get("to"), Some("open"));
         assert_eq!(transitions[0].get("window"), Some("0"));
@@ -1070,34 +932,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, EvalError::Timeout { deadline_ms: 1234 });
         assert_eq!(err.label(), "timeout");
-    }
-
-    #[test]
-    fn traced_schedule_matches_untraced_and_emits_transitions() {
-        use chipvqa_telemetry::{MemorySink, MockClock};
-        use std::sync::Arc;
-
-        let bench = ChipVqa::standard();
-        let fp = 0xfeed_beef;
-        let sup = Supervisor::new(FaultPlan::none().with_broken_model(fp));
-        let sink = Arc::new(MemorySink::new());
-        let tele = chipvqa_telemetry::Telemetry::builder()
-            .clock(MockClock::new(1))
-            .sink(Arc::clone(&sink))
-            .build();
-        let traced = sup.breaker_schedule_traced(fp, &bench, &tele);
-        assert_eq!(traced, sup.breaker_schedule(fp, &bench));
-        let snap = tele.snapshot();
-        assert!(snap.counters["breaker.trips"] >= 1);
-        assert_eq!(
-            snap.counters["breaker.trips"],
-            u64::from(traced.trips()),
-            "counter matches the schedule's trip count"
-        );
-        let transitions = sink.named("breaker.transition");
-        assert!(!transitions.is_empty());
-        assert_eq!(transitions[0].get("from"), Some("closed"));
-        assert_eq!(transitions[0].get("to"), Some("open"));
     }
 
     #[test]

@@ -163,14 +163,6 @@ impl ModelZoo {
         )
     }
 
-    /// Deprecated spelling of [`ModelZoo::kosmos_2`]; kept so older
-    /// call sites keep compiling, but it is the same profile (same
-    /// fingerprint), not a thirteenth model.
-    #[deprecated(since = "0.1.0", note = "use `ModelZoo::kosmos_2` instead")]
-    pub fn kosmos2() -> ModelProfile {
-        Self::kosmos_2()
-    }
-
     /// Microsoft Phi-3-Vision.
     pub fn phi3_vision() -> ModelProfile {
         profile(
@@ -299,16 +291,6 @@ mod tests {
         prints.sort_unstable();
         prints.dedup();
         assert_eq!(prints.len(), all.len(), "duplicate fingerprint in zoo");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn kosmos2_alias_is_the_same_model() {
-        assert_eq!(ModelZoo::kosmos2(), ModelZoo::kosmos_2());
-        assert_eq!(
-            crate::VlmPipeline::new(ModelZoo::kosmos2()).fingerprint(),
-            crate::VlmPipeline::new(ModelZoo::kosmos_2()).fingerprint()
-        );
     }
 
     #[test]

@@ -19,9 +19,13 @@
 //! session replays the identical plan, so its report is byte-identical
 //! to an uninterrupted run — the same merge-is-positional argument the
 //! fleet subsystem relies on. The shared cache plane adds speed, never
-//! content: answers are keyed on (model fingerprint, question, prompt,
-//! resolution), so concurrent sessions over the same model share
-//! inference without observing each other.
+//! content: answers are keyed on (model fingerprint, spec fingerprint,
+//! question, prompt, resolution), so concurrent sessions over the same
+//! model and spec share inference without observing each other, and
+//! sessions over different specs never read each other's answers.
+//! A session may instead stream its spec (`stream_shard_len`): the same
+//! executor then generates shards lazily and the session restarts,
+//! rather than resumes, after a cancel.
 //!
 //! ## Backpressure
 //!
@@ -543,7 +547,27 @@ fn runner_loop(shared: &Shared) {
     }
 }
 
-/// Runs one admitted session to a terminal state.
+/// Where a session's shards come from and where its outcomes go.
+enum SessionPlan {
+    /// The materialised spec under a resumable [`Checkpoint`], run in
+    /// steps of `shard_batch` shards; a cancelled session keeps the
+    /// checkpoint and resumes where it stopped.
+    Checkpointed {
+        bench: chipvqa_core::ChipVqa,
+        checkpoint: Checkpoint,
+    },
+    /// The lazily generated spec, one streamed run per model; the
+    /// cancel flag is checked between models, and a cancelled session
+    /// keeps nothing — resuming restarts it, and determinism converges
+    /// the rerun to the bytes an uninterrupted run produces.
+    Streamed { shard_len: usize },
+}
+
+/// Runs one admitted session to a terminal state. Both kinds of
+/// session run on the same executor — the shared answer cache keyed to
+/// the session's spec, the request's fault plan supervising it, and
+/// progress read off the engine's per-shard spans — and differ only in
+/// the [`SessionPlan`].
 fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
     // Claim the entry's run context under the lock, then work unlocked.
     let (request, cancel, taken_checkpoint, shards_done, epoch) = {
@@ -571,52 +595,54 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         .cloned()
         .map(VlmPipeline::new)
         .collect();
-
-    if let Some(shard_len) = request.stream_shard_len {
-        run_session_streamed(
-            shared,
-            id,
-            tenant,
-            &request,
-            &pipes,
-            shard_len,
-            &cancel,
-            &shards_done,
-            &epoch,
-        );
-        return;
-    }
-
-    let bench = request.spec.build();
     let options = request.options;
 
-    // Bind or re-validate the checkpoint: a resumed session must still
-    // match its models, bench, options, spec and store epoch.
-    let mut checkpoint = match taken_checkpoint {
-        Some(ckpt) => {
-            let valid = match shared.cache.store() {
-                Some(store) => {
-                    ckpt.validate_for_spec_with_store(&pipes, &bench, options, &request.spec, store)
-                }
-                None => ckpt.validate_for_spec(&pipes, &bench, options, &request.spec),
-            };
-            if let Err(e) = valid {
-                finish_failed(shared, id, tenant, format!("resume refused: {e}"));
-                return;
-            }
-            ckpt
+    let (plan, shards_total, already_done) = match request.stream_shard_len {
+        Some(0) => {
+            let error = "stream_shard_len must be >= 1".to_string();
+            finish_failed(shared, id, tenant, error);
+            return;
+        }
+        Some(shard_len) => {
+            let total = request.spec.total().div_ceil(shard_len) * pipes.len();
+            (SessionPlan::Streamed { shard_len }, total, 0)
         }
         None => {
-            let mut ckpt = Checkpoint::for_spec(&pipes, &bench, options, &request.spec);
-            if let Some(store) = shared.cache.store() {
-                ckpt.bind_store_generation(store);
-            }
-            ckpt
+            let bench = request.spec.build();
+            // Bind or re-validate the checkpoint: a resumed session must
+            // still match its models, bench, options, spec and store epoch.
+            let checkpoint = match taken_checkpoint {
+                Some(ckpt) => {
+                    let valid = match shared.cache.store() {
+                        Some(store) => ckpt.validate_for_spec_with_store(
+                            &pipes,
+                            &bench,
+                            options,
+                            &request.spec,
+                            store,
+                        ),
+                        None => ckpt.validate_for_spec(&pipes, &bench, options, &request.spec),
+                    };
+                    if let Err(e) = valid {
+                        finish_failed(shared, id, tenant, format!("resume refused: {e}"));
+                        return;
+                    }
+                    ckpt
+                }
+                None => {
+                    let mut ckpt = Checkpoint::for_spec(&pipes, &bench, options, &request.spec);
+                    if let Some(store) = shared.cache.store() {
+                        ckpt.bind_store_generation(store);
+                    }
+                    ckpt
+                }
+            };
+            let total = checkpoint.total_shards(&bench);
+            let done = checkpoint.completed_shards();
+            (SessionPlan::Checkpointed { bench, checkpoint }, total, done)
         }
     };
-
-    let shards_total = checkpoint.total_shards(&bench);
-    shards_done.store(checkpoint.completed_shards(), Ordering::SeqCst);
+    shards_done.store(already_done, Ordering::SeqCst);
     {
         let mut st = lock(&shared.state);
         let entry = st.sessions.get_mut(&id).expect("admitted session exists");
@@ -632,116 +658,60 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         shards_done,
         epoch,
     );
-    let executor = ParallelExecutor::new(shared.config.workers)
-        .with_cache(Arc::clone(&shared.cache))
-        .with_telemetry(telemetry);
-    let judge = RuleJudge::new();
-
-    loop {
-        if cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
-            finish_cancelled(shared, id, tenant, Some(checkpoint));
-            return;
-        }
-        match executor.evaluate_grid_resumable(
-            &pipes,
-            &bench,
-            options,
-            &judge,
-            &mut checkpoint,
-            Some(shared.config.shard_batch),
-        ) {
-            Err(e) => {
-                finish_failed(shared, id, tenant, e.to_string());
-                return;
-            }
-            Ok(Some(reports)) => {
-                finish_done(shared, id, tenant, SessionReport::new(reports));
-                return;
-            }
-            Ok(None) => {
-                if shared.config.step_delay > Duration::ZERO {
-                    std::thread::sleep(shared.config.step_delay);
-                }
-            }
-        }
-    }
-}
-
-/// Runs a streamed (optionally chaos-supervised) session: one
-/// [`ParallelExecutor::evaluate_spec_stream`] per model over the lazy
-/// [`ShardStream`](chipvqa_core::spec::ShardStream), never
-/// materializing the collection. The cancel flag is checked between
-/// models; a cancelled streamed session retains no checkpoint —
-/// resuming restarts it, and determinism (the windowed breaker's
-/// decisions are a pure function of plan seed, model fingerprint and
-/// question position) converges the rerun to the same bytes an
-/// uninterrupted run would have produced.
-///
-/// Chaos sessions share the service's answer-cache plane safely:
-/// answers are keyed to the spec fingerprint, and the supervised
-/// inference path caches only clean (fault-free) answers.
-#[allow(clippy::too_many_arguments)]
-fn run_session_streamed(
-    shared: &Shared,
-    id: SessionId,
-    tenant: &str,
-    request: &SessionRequest,
-    pipes: &[VlmPipeline],
-    shard_len: usize,
-    cancel: &AtomicBool,
-    shards_done: &Arc<AtomicUsize>,
-    epoch: &Arc<AtomicU64>,
-) {
-    if shard_len == 0 {
-        finish_failed(
-            shared,
-            id,
-            tenant,
-            "stream_shard_len must be >= 1".to_string(),
-        );
-        return;
-    }
-    let shards_per_model = request.spec.total().div_ceil(shard_len);
-    let shards_total = shards_per_model * pipes.len();
-    shards_done.store(0, Ordering::SeqCst);
-    {
-        let mut st = lock(&shared.state);
-        let entry = st.sessions.get_mut(&id).expect("admitted session exists");
-        entry.shards_total = shards_total;
-        entry.state = SessionState::Running;
-        shared.publish_state(id, SessionState::Running);
-    }
-
-    let telemetry = session_progress_telemetry(
-        Arc::clone(&shared.hub),
-        id,
-        shards_total,
-        Arc::clone(shards_done),
-        Arc::clone(epoch),
-    );
     let mut executor = ParallelExecutor::new(shared.config.workers)
         .with_cache(Arc::clone(&shared.cache))
         .with_telemetry(telemetry);
     if let Some(plan) = &request.fault_plan {
         executor = executor.with_supervisor(chipvqa_eval::Supervisor::new(plan.clone()));
     }
+    let stopping = || cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst);
 
-    let mut reports = Vec::with_capacity(pipes.len());
-    for pipe in pipes {
-        if cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
-            finish_cancelled(shared, id, tenant, None);
-            return;
+    match plan {
+        SessionPlan::Checkpointed {
+            bench,
+            mut checkpoint,
+        } => loop {
+            if stopping() {
+                finish_cancelled(shared, id, tenant, Some(checkpoint));
+                return;
+            }
+            match executor.evaluate_grid_resumable(
+                &pipes,
+                &bench,
+                options,
+                &RuleJudge::new(),
+                &mut checkpoint,
+                Some(shared.config.shard_batch),
+            ) {
+                Err(e) => {
+                    finish_failed(shared, id, tenant, e.to_string());
+                    return;
+                }
+                Ok(Some(reports)) => {
+                    finish_done(shared, id, tenant, SessionReport::new(reports));
+                    return;
+                }
+                Ok(None) => {
+                    if shared.config.step_delay > Duration::ZERO {
+                        std::thread::sleep(shared.config.step_delay);
+                    }
+                }
+            }
+        },
+        SessionPlan::Streamed { shard_len } => {
+            let mut reports = Vec::with_capacity(pipes.len());
+            for pipe in &pipes {
+                if stopping() {
+                    finish_cancelled(shared, id, tenant, None);
+                    return;
+                }
+                let (report, _) =
+                    executor.evaluate_spec_stream(pipe, &request.spec, shard_len, options);
+                reports.push(report);
+            }
+            finish_done(shared, id, tenant, SessionReport::new(reports));
         }
-        let (report, _stats) =
-            executor.evaluate_spec_stream(pipe, &request.spec, shard_len, request.options);
-        reports.push(report);
-        // The streamed executor traces `stream.shard` spans, which the
-        // progress sink (watching `executor.shard`) ignores — so tick
-        // progress here, at model granularity.
-        shards_done.fetch_add(shards_per_model, Ordering::SeqCst);
-        epoch.fetch_add(1, Ordering::SeqCst);
     }
-    finish_done(shared, id, tenant, SessionReport::new(reports));
 }
 
 fn finish_done(shared: &Shared, id: SessionId, tenant: &str, report: SessionReport) {

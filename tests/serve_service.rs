@@ -688,3 +688,124 @@ fn cancelled_streamed_chaos_sessions_resume_to_identical_bytes() {
     );
     service.shutdown().expect("clean stop");
 }
+
+#[test]
+fn batch_sessions_over_different_specs_never_share_answers() {
+    // Seeds of one spec share question ids (and many prompts), so only
+    // the spec fingerprint in the cache key keeps a later session from
+    // reading an earlier session's answers out of the shared cache.
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    let seed = DatasetSpec::default().seed;
+    for spec_seed in [seed, seed + 1, seed + 2] {
+        let request = gpt4o_request("specs").with_spec(DatasetSpec::default().with_seed(spec_seed));
+        let reference = batch_reference(&request);
+        let id = service.submit(request).expect("accepted");
+        assert_eq!(
+            service.wait(id, WAIT).expect("terminates"),
+            SessionState::Done
+        );
+        assert_eq!(
+            service.report(id).expect("done").canonical_json(),
+            reference,
+            "spec seed {spec_seed} read another spec's answers"
+        );
+    }
+    service.shutdown().expect("clean stop");
+}
+
+#[test]
+fn supervised_batch_sessions_match_supervised_batch_bytes() {
+    use chipvqa::eval::{FaultPlan, ParallelExecutor, Supervisor};
+
+    chipvqa::eval::fault::install_quiet_panic_hook();
+    let plan = FaultPlan::uniform(907, 0.04);
+    let spec = DatasetSpec::scaled(2);
+    let request = SessionRequest::single("chaos-batch", ModelZoo::gpt4o())
+        .with_spec(spec.clone())
+        .with_fault_plan(plan.clone());
+
+    // Built as `supervised_streamed_sessions_match_supervised_batch_bytes`
+    // builds it: the supervised executor over the materialized bench.
+    let bench = spec.build();
+    let exec = ParallelExecutor::new(2).with_supervisor(Supervisor::new(plan));
+    let reference = SessionReport::new(vec![exec.evaluate(
+        &VlmPipeline::new(ModelZoo::gpt4o()),
+        &bench,
+        request.options,
+    )])
+    .canonical_json();
+    assert_ne!(
+        reference,
+        batch_reference(&request),
+        "the plan must change the report"
+    );
+
+    for workers in [1, 4] {
+        let mut service = EvalService::start(ServiceConfig {
+            workers,
+            runners: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("no store");
+        let id = service.submit(request.clone()).expect("accepted");
+        assert_eq!(
+            service.wait(id, WAIT).expect("terminates"),
+            SessionState::Done
+        );
+        assert_eq!(
+            service.report(id).expect("done").canonical_json(),
+            reference,
+            "batch supervised session ({workers} workers) ignored its fault plan"
+        );
+        service.shutdown().expect("clean stop");
+    }
+}
+
+#[test]
+fn streamed_sessions_report_progress_per_shard() {
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    let rx = service.subscribe();
+    let id = service
+        .submit(gpt4o_request("stream-progress").with_streaming(16))
+        .expect("accepted");
+    assert_eq!(
+        service.wait(id, WAIT).expect("terminates"),
+        SessionState::Done
+    );
+    let mut shards: Vec<(usize, usize, usize)> = rx
+        .try_iter()
+        .filter_map(|e| match e {
+            ProgressEvent::Shard {
+                session,
+                model,
+                q_start,
+                q_end,
+                shards_done,
+                shards_total,
+            } if session == id => {
+                assert_eq!(model, "GPT4o");
+                assert_eq!(shards_total, 9);
+                Some((shards_done, q_start, q_end))
+            }
+            _ => None,
+        })
+        .collect();
+    shards.sort_unstable();
+    let dones: Vec<usize> = shards.iter().map(|s| s.0).collect();
+    assert_eq!(dones, (1..=9).collect::<Vec<usize>>());
+    let mut ranges: Vec<(usize, usize)> = shards.iter().map(|s| (s.1, s.2)).collect();
+    ranges.sort_unstable();
+    assert_eq!(ranges.first(), Some(&(0, 16)));
+    assert_eq!(ranges.last(), Some(&(128, 142)));
+    service.shutdown().expect("clean stop");
+}
